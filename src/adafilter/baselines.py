@@ -14,13 +14,22 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NoTestableHypotheses, ReplicabilityLevelOutOfRange, ValidationError
-from .pc_core import PCCombinerKind, PValueMatrix, _column_sorted, _pc_pvalues_from_sorted
-from .procedures import DecisionResult, ProcedureKind
+from .errors import ReplicabilityLevelOutOfRange, ValidationError
+from .pc_core import PCCombinerKind, PValueMatrix
+from .procedures import (
+    DecisionResult,
+    Procedure,
+    ProcedureKind,
+    _check_alpha,
+    adafilter_bh,
+    adafilter_bonferroni,
+    compute_filter_select,
+)
 
 __all__ = [
     "AdjustmentKind",
     "DirectProcedureSpec",
+    "run_procedure",
     "direct_adjust",
     "bh_stepup",
     "pfer_bound",
@@ -41,8 +50,20 @@ class DirectProcedureSpec:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < float(self.alpha) <= 1.0):
-            raise ValidationError(f"alpha must be in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
+
+
+def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResult:
+    """Run one procedure on a p-value matrix at replicability level r."""
+    if proc.kind is ProcedureKind.ADAFILTER_BONFERRONI:
+        return adafilter_bonferroni(compute_filter_select(matrix, r), proc.alpha)
+    if proc.kind is ProcedureKind.ADAFILTER_BH:
+        return adafilter_bh(compute_filter_select(matrix, r), proc.alpha)
+    if proc.kind is ProcedureKind.DIRECT_BONFERRONI:
+        adjustment = AdjustmentKind.BONFERRONI
+    else:
+        adjustment = AdjustmentKind.BH
+    return direct_adjust(matrix, r, DirectProcedureSpec(proc.combiner, adjustment, proc.alpha))
 
 
 def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bool_], float]:
@@ -77,12 +98,10 @@ def direct_adjust(matrix: PValueMatrix, r: int, spec: DirectProcedureSpec) -> De
         raise ReplicabilityLevelOutOfRange(r, n_max)
     alpha = float(spec.alpha)
 
-    sv = _column_sorted(matrix.values)
-    pc = _pc_pvalues_from_sorted(sv, n_per, r, spec.combiner)
+    pc = matrix.pc_pvalues(r, spec.combiner)
+    # r <= max n_j, so at least one column is testable
     testable = n_per >= r
     m_t = int(np.count_nonzero(testable))
-    if m_t == 0:
-        raise NoTestableHypotheses("every column has fewer than r observed p-values")
 
     p_test = pc[testable]
     adjusted = np.full(pc.shape[0], np.nan)
@@ -112,9 +131,13 @@ def direct_adjust(matrix: PValueMatrix, r: int, spec: DirectProcedureSpec) -> De
 
 
 def _bh_adjusted_pvalues(pvalues: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Standard BH adjusted p-values: running minimum of m*P_(i)/i from the top."""
+    """Standard BH adjusted p-values: running minimum of m*P_(i)/i from the top.
+
+    Within a block of tied p-values the running minimum equals its value at
+    the block's last position, so any order of the ties gives the same output.
+    """
     m = pvalues.shape[0]
-    order = np.argsort(pvalues, kind="stable")
+    order = np.argsort(pvalues)
     scaled = pvalues[order] * (m / np.arange(1, m + 1))
     adj = np.minimum.accumulate(scaled[::-1])[::-1]
     out = np.empty(m)

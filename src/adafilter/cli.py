@@ -13,20 +13,20 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .baselines import AdjustmentKind, DirectProcedureSpec, direct_adjust
-from .errors import AdaFilterError, OutOfRangeEntry, ParseError, ValidationError
-from .pc_core import (
-    PCCombinerKind,
-    PValueMatrix,
-    _column_sorted,
-    _pc_pvalues_from_sorted,
-    validate_matrix,
+from .baselines import run_procedure
+from .errors import (
+    AdaFilterError,
+    DuplicateIdentifier,
+    OutOfRangeEntry,
+    ParseError,
+    ValidationError,
 )
-from .procedures import adafilter_bh, adafilter_bonferroni, compute_filter_select, curves
+from .pc_core import PCCombinerKind, PValueMatrix, validate_matrix
+from .procedures import Procedure, ProcedureKind, compute_filter_select, curves
 from .simlab import (
     default_panel_procedures,
     format_float,
@@ -35,26 +35,9 @@ from .simlab import (
     write_metrics_tsv,
 )
 
-__all__ = ["RunConfig", "ingest_csv", "cmd_test", "cmd_simulate", "cmd_curve", "main"]
+__all__ = ["ingest_csv", "cmd_test", "cmd_simulate", "cmd_curve", "main"]
 
-_METHODS = ("adafilter-bonferroni", "adafilter-bh", "direct-bonferroni", "direct-bh")
 _MISSING_TOKEN = "NA"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    method: str | None = None
-    combiner: str | None = None
-    r: int | None = None
-    alpha: float | None = None
-    scenario_path: str | None = None
-    seed: int | None = None
-    threads: int = 1
 
 
 def ingest_csv(path: str) -> PValueMatrix:
@@ -64,7 +47,7 @@ def ingest_csv(path: str) -> PValueMatrix:
     decimal p-values or the literal token NA for missing. File rows become
     columns of the internal study-by-hypothesis matrix.
     """
-    ids: list[str] = []
+    ids: dict[str, None] = {}  # ids in file order, as dict keys for the duplicate check
     rows: list[list[float]] = []
     n_studies: int | None = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -81,7 +64,9 @@ def ingest_csv(path: str) -> PValueMatrix:
                 raise ParseError(
                     f"expected {n_studies + 1} cells, got {len(record)}", lineno
                 )
-            ids.append(record[0])
+            if record[0] in ids:
+                raise DuplicateIdentifier(record[0], lineno)
+            ids[record[0]] = None
             parsed: list[float] = []
             for col, token in enumerate(record[1:], start=1):
                 token = token.strip()
@@ -92,7 +77,13 @@ def ingest_csv(path: str) -> PValueMatrix:
                     value = float(token)
                 except ValueError:
                     raise ParseError(f"bad p-value token {token!r} in column {col + 1}", lineno) from None
-                if math.isnan(value) or not (0.0 <= value <= 1.0):
+                if math.isnan(value):
+                    raise ParseError(
+                        f"bad p-value token {token!r} in column {col + 1}; "
+                        f"write {_MISSING_TOKEN} for a missing entry",
+                        lineno,
+                    )
+                if not (0.0 <= value <= 1.0):
                     raise OutOfRangeEntry(len(ids), col, value)
                 parsed.append(value)
             rows.append(parsed)
@@ -116,44 +107,22 @@ def _capped(value: float) -> str:
     return format_float(min(1.0, value))
 
 
-def cmd_test(config: RunConfig) -> int:
+def cmd_test(args: argparse.Namespace) -> int:
     """Run one procedure on an input matrix and write the per-hypothesis TSV."""
-    if config.method not in _METHODS:
-        raise ValidationError(f"unknown method {config.method!r}")
-    direct = config.method.startswith("direct-")
-    if direct and config.combiner is None:
-        raise ValidationError(f"method {config.method} requires --combiner")
-    if not direct and config.combiner is not None:
-        raise ValidationError(f"method {config.method} does not take --combiner")
-    alpha = 0.05 if config.alpha is None else config.alpha
+    alpha = 0.05 if args.alpha is None else args.alpha
+    combiner = None if args.combiner is None else PCCombinerKind(args.combiner)
+    proc = Procedure(ProcedureKind(args.method), alpha, combiner)
 
-    matrix = ingest_csv(config.input_path)
-    stats = compute_filter_select(matrix, config.r)
-
-    pc = None
-    if config.method == "adafilter-bonferroni":
-        result = adafilter_bonferroni(stats, alpha)
-    elif config.method == "adafilter-bh":
-        result = adafilter_bh(stats, alpha)
-    else:
-        combiner = PCCombinerKind.from_string(config.combiner)
-        adjustment = (
-            AdjustmentKind.BONFERRONI
-            if config.method == "direct-bonferroni"
-            else AdjustmentKind.BH
-        )
-        result = direct_adjust(
-            matrix, config.r, DirectProcedureSpec(combiner, adjustment, alpha)
-        )
-        pc = _pc_pvalues_from_sorted(
-            _column_sorted(matrix.values), matrix.n_per_hyp, config.r, combiner
-        )
+    matrix = ingest_csv(args.input)
+    stats = compute_filter_select(matrix, args.r)
+    result = run_procedure(matrix, args.r, proc)
+    pc = None if combiner is None else matrix.pc_pvalues(args.r, combiner)
 
     header = ["id", "filter_p", "select_p"]
     if pc is not None:
         header.append("pc_pvalue")
     header += ["rejected", "untestable"]
-    with _open_output(config.output_path) as fh:
+    with _open_output(args.output) as fh:
         fh.write("\t".join(header) + "\n")
         for j in range(matrix.n_hypotheses):
             row = [
@@ -173,12 +142,12 @@ def cmd_test(config: RunConfig) -> int:
     return 0
 
 
-def cmd_curve(config: RunConfig) -> int:
+def cmd_curve(args: argparse.Namespace) -> int:
     """Write the estimated-V/FDP table of an input matrix over the default grid."""
-    matrix = ingest_csv(config.input_path)
-    stats = compute_filter_select(matrix, config.r)
-    curves_table = curves(stats, grid=None, alpha=config.alpha)
-    with _open_output(config.output_path) as fh:
+    matrix = ingest_csv(args.input)
+    stats = compute_filter_select(matrix, args.r)
+    curves_table = curves(stats, grid=None, alpha=args.alpha)
+    with _open_output(args.output) as fh:
         fh.write("gamma\tv_hat\tfdp_hat\n")
         for g, v, f in zip(curves_table.gamma, curves_table.v_hat, curves_table.fdp_hat):
             fh.write(
@@ -189,17 +158,18 @@ def cmd_curve(config: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     """Run the scenario file through the default procedure panel, write metrics TSV."""
-    scenarios = load_scenarios(config.scenario_path)
-    if config.seed is not None:
-        scenarios = [replace(sc, master_seed=config.seed) for sc in scenarios]
-    if config.alpha is not None:
-        procedures = default_panel_procedures(alpha_pfer=config.alpha, alpha_fdr=config.alpha)
+    threads = _resolve_threads(args.threads)
+    scenarios = load_scenarios(args.scenario)
+    if args.seed is not None:
+        scenarios = [replace(sc, master_seed=args.seed) for sc in scenarios]
+    if args.alpha is not None:
+        procedures = default_panel_procedures(alpha_pfer=args.alpha, alpha_fdr=args.alpha)
     else:
         procedures = default_panel_procedures()
-    reports = [run_panel(sc, procedures, threads=config.threads) for sc in scenarios]
-    with _open_output(config.output_path) as fh:
+    reports = [run_panel(sc, procedures, threads=threads) for sc in scenarios]
+    with _open_output(args.output) as fh:
         write_metrics_tsv(reports, fh)
     for seed in dict.fromkeys(sc.master_seed for sc in scenarios):
         print(f"master_seed = {seed}")
@@ -230,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="run one procedure on a CSV p-value matrix")
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--output", required=True)
-    p_test.add_argument("--method", required=True, choices=_METHODS)
+    p_test.add_argument("--method", required=True, choices=[k.value for k in ProcedureKind])
     p_test.add_argument("--combiner", choices=[k.value for k in PCCombinerKind])
     p_test.add_argument("--r", required=True, type=int)
     p_test.add_argument("--alpha", type=float)
@@ -254,34 +224,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "test":
-            config = RunConfig(
-                subcommand="test",
-                input_path=args.input,
-                output_path=args.output,
-                method=args.method,
-                combiner=args.combiner,
-                r=args.r,
-                alpha=args.alpha,
-            )
-            return cmd_test(config)
+            return cmd_test(args)
         if args.command == "simulate":
-            config = RunConfig(
-                subcommand="simulate",
-                scenario_path=args.scenario,
-                output_path=args.output,
-                alpha=args.alpha,
-                seed=args.seed,
-                threads=_resolve_threads(args.threads),
-            )
-            return cmd_simulate(config)
-        config = RunConfig(
-            subcommand="curve",
-            input_path=args.input,
-            output_path=args.output,
-            r=args.r,
-            alpha=args.alpha,
-        )
-        return cmd_curve(config)
+            return cmd_simulate(args)
+        return cmd_curve(args)
     except (AdaFilterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,13 +5,13 @@ A partial-conjunction (PC) hypothesis asks whether a signal is present in at
 least r of the n studies that tested it. The combiners here turn the largest
 n_j - r + 1 p-values of one hypothesis column into a single PC p-value.
 Missing entries are encoded as NaN; n_j counts the observed entries of
-column j and is always derived, never stored.
+column j and is always derived from the values, never passed in.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,21 +43,19 @@ class PCCombinerKind(Enum):
     FISHER = "fisher"
     BONFERRONI = "bonferroni"
 
-    @classmethod
-    def from_string(cls, name: str) -> "PCCombinerKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown combiner {name!r}; expected one of {valid}") from None
-
 
 @dataclass(frozen=True)
 class PValueMatrix:
-    """Validated n_studies x n_hypotheses grid of p-values, NaN = missing."""
+    """Validated n_studies x n_hypotheses grid of p-values, NaN = missing.
+
+    The per-column order statistics every procedure reads are computed once
+    and memoised: n_per_hyp, sorted_values and pc_pvalues(r, kind). All are
+    read-only, and values must not change after construction.
+    """
 
     values: NDArray[np.float64]
     ids: tuple[str, ...] | None = None
+    _pc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_studies(self) -> int:
@@ -67,10 +65,29 @@ class PValueMatrix:
     def n_hypotheses(self) -> int:
         return self.values.shape[1]
 
-    @property
+    @cached_property
     def n_per_hyp(self) -> NDArray[np.int64]:
         """Observed-entry count n_j for each hypothesis column."""
-        return np.count_nonzero(~np.isnan(self.values), axis=0).astype(np.int64)
+        return _read_only(np.count_nonzero(~np.isnan(self.values), axis=0).astype(np.int64))
+
+    @cached_property
+    def sorted_values(self) -> NDArray[np.float64]:
+        """Each column sorted ascending, missing entries (NaN) at the bottom."""
+        return _read_only(_column_sorted(self.values))
+
+    def pc_pvalues(self, r: int, kind: PCCombinerKind) -> NDArray[np.float64]:
+        """PC p-value of every column at level r; NaN where n_j < r."""
+        key = (r, kind)
+        if key not in self._pc_cache:
+            self._pc_cache[key] = _read_only(
+                _pc_pvalues_from_sorted(self.sorted_values, self.n_per_hyp, r, kind)
+            )
+        return self._pc_cache[key]
+
+
+def _read_only(arr: NDArray) -> NDArray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -127,12 +144,8 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
 
 def sort_column(matrix: PValueMatrix, j: int) -> SortedColumn:
     """Sorted observed p-values of column j (0-based index)."""
-    col = matrix.values[:, j]
-    obs = col[~np.isnan(col)]
-    # stable sort keeps tied values in input order for cross-platform determinism
-    sp = np.sort(obs, kind="stable")
-    sp.setflags(write=False)
-    return SortedColumn(hypothesis_index=j, sorted_p=sp, n_j=int(sp.shape[0]))
+    n_j = int(matrix.n_per_hyp[j])
+    return SortedColumn(hypothesis_index=j, sorted_p=matrix.sorted_values[:n_j, j], n_j=n_j)
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -148,20 +161,8 @@ def chi_square_sf(x: float, df: int) -> float:
     if df <= 0 or df % 2 != 0:
         raise InvalidDegreesOfFreedom(df)
     x = float(x)
-    if math.isnan(x):
-        return math.nan
-    if x <= 0.0:
-        return 1.0
-    # exp(-x/2) underflows long before here; the true tail is < 1e-300
-    if x >= 2980.0:
-        return 0.0
-    half = 0.5 * x
-    term = 1.0
-    total = 1.0
-    for k in range(1, df // 2):
-        term *= half / k
-        total += term
-    return min(1.0, math.exp(-half) * total)
+    # the kernel is only correct for x >= 0
+    return 1.0 if x <= 0.0 else float(_chi_square_sf_even(np.array([x]), int(df))[0])
 
 
 def _chi_square_sf_even(x: NDArray[np.float64], df: int) -> NDArray[np.float64]:
@@ -187,20 +188,8 @@ def pc_pvalue(sorted_col: SortedColumn, r: int, kind: PCCombinerKind) -> float:
     n_j = sorted_col.n_j
     if r < 2 or r > n_j:
         raise ReplicabilityLevelOutOfRange(r, n_j)
-    p = sorted_col.sorted_p
-    k = n_j - r + 1
-    tail = p[r - 1 :]
-
-    if kind is PCCombinerKind.BONFERRONI:
-        return min(1.0, k * float(tail[0]))
-    if kind is PCCombinerKind.SIMES:
-        ranks = np.arange(1, k + 1, dtype=np.float64)
-        return min(1.0, float(np.min(k * tail / ranks)))
-    if kind is PCCombinerKind.FISHER:
-        with np.errstate(divide="ignore"):
-            stat = -2.0 * float(np.sum(np.log(tail)))
-        return chi_square_sf(stat, 2 * k)
-    raise TypeError(f"unknown combiner kind {kind!r}")
+    sv = sorted_col.sorted_p[:, None]
+    return float(_pc_pvalues_from_sorted(sv, np.array([n_j]), r, kind)[0])
 
 
 def _column_sorted(values: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -32,16 +32,16 @@ from .errors import (
     ReplicabilityLevelOutOfRange,
     ValidationError,
 )
-from .pc_core import PValueMatrix, _column_sorted
+from .pc_core import PCCombinerKind, PValueMatrix
 
 __all__ = [
     "ProcedureKind",
+    "Procedure",
     "FilterSelectStats",
     "DecisionResult",
     "CurveTable",
     "compute_filter_select",
     "adafilter_bonferroni",
-    "adafilter_bonferroni_twostep",
     "adafilter_bh",
     "adafilter_bh_oracle",
     "curves",
@@ -55,6 +55,34 @@ class ProcedureKind(Enum):
     ADAFILTER_BH = "adafilter-bh"
     DIRECT_BONFERRONI = "direct-bonferroni"
     DIRECT_BH = "direct-bh"
+
+
+@dataclass(frozen=True)
+class Procedure:
+    """One multiple-testing procedure at level alpha.
+
+    The direct procedures need a PC combiner and the adaptive ones take
+    none. name is the kind, suffixed by the combiner for direct procedures
+    (``adafilter-bh``, ``direct-bh-fisher``).
+    """
+
+    kind: ProcedureKind
+    alpha: float
+    combiner: PCCombinerKind | None = None
+
+    def __post_init__(self) -> None:
+        direct = self.kind in (ProcedureKind.DIRECT_BONFERRONI, ProcedureKind.DIRECT_BH)
+        if direct and self.combiner is None:
+            raise ValidationError(f"method {self.kind.value} requires --combiner")
+        if not direct and self.combiner is not None:
+            raise ValidationError(f"method {self.kind.value} does not take --combiner")
+        _check_alpha(self.alpha)
+
+    @property
+    def name(self) -> str:
+        if self.combiner is None:
+            return self.kind.value
+        return f"{self.kind.value}-{self.combiner.value}"
 
 
 @dataclass(frozen=True)
@@ -125,7 +153,7 @@ def compute_filter_select(matrix: PValueMatrix, r: int) -> FilterSelectStats:
     if r < 2 or r > n_max:
         raise ReplicabilityLevelOutOfRange(r, n_max)
 
-    sv = _column_sorted(matrix.values)
+    sv = matrix.sorted_values
     testable = n_per >= r
     k = (n_per - r + 1).astype(np.float64)
     # sorted columns put NaN last, so rows r-2 and r-1 are NaN exactly where
@@ -137,7 +165,6 @@ def compute_filter_select(matrix: PValueMatrix, r: int) -> FilterSelectStats:
 
     filter_p.setflags(write=False)
     select_p.setflags(write=False)
-    n_per.setflags(write=False)
     testable.setflags(write=False)
     return FilterSelectStats(
         filter_p=filter_p,
@@ -189,44 +216,6 @@ def adafilter_bonferroni(stats: FilterSelectStats, alpha: float) -> DecisionResu
         alpha=alpha,
         gamma0=gamma0,
         filtered_count=k_star,
-        rejected=_rejections(stats, gamma0),
-        untestable=~stats.testable,
-        adjusted=adjusted,
-    )
-
-
-def adafilter_bonferroni_twostep(stats: FilterSelectStats, alpha: float) -> DecisionResult:
-    """Two-step form of the adaptive Bonferroni procedure.
-
-    Sort the filtering p-values, find m' = min{j : alpha/j < F_(j)} (m' = M_t
-    when the set is empty), then keep m = m' if F_(m') <= alpha/(m'-1) and
-    back off to m = m'-1 otherwise. The threshold is alpha/m. At m' = 1 the
-    back-off guard has no meaning and m = m' is taken; that choice is what
-    makes the result agree with adafilter_bonferroni on every input.
-    """
-    alpha = _check_alpha(alpha)
-    fs, _, m_t = _testable_sorted(stats)
-    js = np.arange(1, m_t + 1)
-    thresholds = alpha / js
-    exceed = fs > thresholds
-    if exceed.any():
-        m_prime = int(np.argmax(exceed)) + 1
-        if m_prime == 1:
-            m = 1
-        elif fs[m_prime - 1] <= float(thresholds[m_prime - 2]):
-            m = m_prime
-        else:
-            m = m_prime - 1
-    else:
-        m = m_t
-    gamma0 = alpha / m
-    adjusted = np.minimum(1.0, stats.select_p * m)
-    adjusted.setflags(write=False)
-    return DecisionResult(
-        method=ProcedureKind.ADAFILTER_BONFERRONI,
-        alpha=alpha,
-        gamma0=gamma0,
-        filtered_count=m,
         rejected=_rejections(stats, gamma0),
         untestable=~stats.testable,
         adjusted=adjusted,

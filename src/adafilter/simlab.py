@@ -24,19 +24,13 @@ from numpy.typing import NDArray
 from scipy.special import erfc, ndtr, ndtri
 
 from .errors import NoConvergence, ParseError, ValidationError
-from .pc_core import PCCombinerKind, PValueMatrix, _column_sorted, _pc_pvalues_from_sorted
-from .procedures import (
-    ProcedureKind,
-    adafilter_bh,
-    adafilter_bonferroni,
-    compute_filter_select,
-)
-from .baselines import bh_stepup
+from .pc_core import PCCombinerKind, PValueMatrix
+from .procedures import Procedure, ProcedureKind
+from .baselines import run_procedure
 
 __all__ = [
     "SimScenario",
     "TruthAssignment",
-    "PanelProcedure",
     "ProcedureMetrics",
     "MetricsReport",
     "default_panel_procedures",
@@ -114,25 +108,6 @@ class TruthAssignment:
 
 
 @dataclass(frozen=True)
-class PanelProcedure:
-    """One procedure entry of a simulation panel."""
-
-    name: str
-    kind: ProcedureKind
-    alpha: float
-    combiner: PCCombinerKind | None = None
-
-    def __post_init__(self) -> None:
-        direct = self.kind in (ProcedureKind.DIRECT_BONFERRONI, ProcedureKind.DIRECT_BH)
-        if direct and self.combiner is None:
-            raise ValidationError(f"procedure {self.name!r} needs a combiner")
-        if not direct and self.combiner is not None:
-            raise ValidationError(f"procedure {self.name!r} takes no combiner")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValidationError(f"alpha must be in (0, 1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class ProcedureMetrics:
     procedure: str
     alpha: float
@@ -153,28 +128,19 @@ class MetricsReport:
 
 def default_panel_procedures(
     alpha_pfer: float = 1.0, alpha_fdr: float = 0.2
-) -> tuple[PanelProcedure, ...]:
+) -> tuple[Procedure, ...]:
     """Both adaptive procedures plus all six direct baselines.
 
     PFER-type procedures (Bonferroni corrections) run at alpha_pfer and
     FDR-type procedures (BH corrections) at alpha_fdr.
     """
     procs = [
-        PanelProcedure("adafilter-bonferroni", ProcedureKind.ADAFILTER_BONFERRONI, alpha_pfer),
-        PanelProcedure("adafilter-bh", ProcedureKind.ADAFILTER_BH, alpha_fdr),
+        Procedure(ProcedureKind.ADAFILTER_BONFERRONI, alpha_pfer),
+        Procedure(ProcedureKind.ADAFILTER_BH, alpha_fdr),
     ]
     for comb in (PCCombinerKind.SIMES, PCCombinerKind.FISHER, PCCombinerKind.BONFERRONI):
-        procs.append(
-            PanelProcedure(
-                f"direct-bonferroni-{comb.value}",
-                ProcedureKind.DIRECT_BONFERRONI,
-                alpha_pfer,
-                comb,
-            )
-        )
-        procs.append(
-            PanelProcedure(f"direct-bh-{comb.value}", ProcedureKind.DIRECT_BH, alpha_fdr, comb)
-        )
+        procs.append(Procedure(ProcedureKind.DIRECT_BONFERRONI, alpha_pfer, comb))
+        procs.append(Procedure(ProcedureKind.DIRECT_BH, alpha_fdr, comb))
     return tuple(procs)
 
 
@@ -294,7 +260,7 @@ def sample_pvalues(truth: TruthAssignment, scenario: SimScenario, rep: int) -> P
 
 
 def _run_chunk(
-    scenario: SimScenario, procedures: tuple[PanelProcedure, ...], reps: list[int]
+    scenario: SimScenario, procedures: tuple[Procedure, ...], reps: list[int]
 ) -> tuple[list[int], NDArray, NDArray, NDArray, NDArray]:
     """Worker: V, R, TP per procedure and the non-null PC count, per replication."""
     n_proc = len(procedures)
@@ -302,42 +268,13 @@ def _run_chunk(
     rr = np.zeros((len(reps), n_proc), dtype=np.int64)
     tp = np.zeros((len(reps), n_proc), dtype=np.int64)
     npc = np.zeros(len(reps), dtype=np.int64)
-
-    direct_combiners = sorted(
-        {p.combiner for p in procedures if p.combiner is not None}, key=lambda c: c.value
-    )
     for row, rep in enumerate(reps):
         truth = sample_truth(scenario, rep)
         matrix = sample_pvalues(truth, scenario, rep)
         pc_nonnull = truth.pc_nonnull
         npc[row] = int(np.count_nonzero(pc_nonnull))
-
-        stats = None
-        pc_cache: dict[PCCombinerKind, NDArray] = {}
-        if direct_combiners:
-            sv = _column_sorted(matrix.values)
-            n_per = matrix.n_per_hyp
-            for comb in direct_combiners:
-                pc_cache[comb] = _pc_pvalues_from_sorted(sv, n_per, scenario.r, comb)
-            m_t = int(np.count_nonzero(n_per >= scenario.r))
-
         for col, proc in enumerate(procedures):
-            if proc.kind is ProcedureKind.ADAFILTER_BONFERRONI:
-                if stats is None:
-                    stats = compute_filter_select(matrix, scenario.r)
-                rejected = adafilter_bonferroni(stats, proc.alpha).rejected
-            elif proc.kind is ProcedureKind.ADAFILTER_BH:
-                if stats is None:
-                    stats = compute_filter_select(matrix, scenario.r)
-                rejected = adafilter_bh(stats, proc.alpha).rejected
-            else:
-                pc = pc_cache[proc.combiner]
-                testable = ~np.isnan(pc)
-                rejected = np.zeros(pc.shape[0], dtype=bool)
-                if proc.kind is ProcedureKind.DIRECT_BONFERRONI:
-                    rejected[testable] = pc[testable] <= proc.alpha / m_t
-                else:
-                    rejected[testable] = bh_stepup(pc[testable], proc.alpha)[0]
+            rejected = run_procedure(matrix, scenario.r, proc).rejected
             v[row, col] = int(np.count_nonzero(rejected & ~pc_nonnull))
             rr[row, col] = int(np.count_nonzero(rejected))
             tp[row, col] = int(np.count_nonzero(rejected & pc_nonnull))
@@ -346,7 +283,7 @@ def _run_chunk(
 
 def run_panel(
     scenario: SimScenario,
-    procedures: tuple[PanelProcedure, ...] | list[PanelProcedure],
+    procedures: tuple[Procedure, ...] | list[Procedure],
     threads: int = 1,
 ) -> MetricsReport:
     """Run every procedure on B replications and summarize the error metrics.
@@ -366,25 +303,20 @@ def run_panel(
     tp = np.zeros((b, n_proc), dtype=np.int64)
     npc = np.zeros(b, dtype=np.int64)
 
-    threads = max(1, int(threads))
-    if threads == 1 or b == 1:
-        reps, cv, cr, ctp, cnpc = _run_chunk(scenario, procedures, list(range(b)))
+    n_chunks = min(max(1, int(threads)), b)
+    bounds = np.linspace(0, b, n_chunks + 1).astype(int)
+    chunks = [list(range(bounds[i], bounds[i + 1])) for i in range(n_chunks)]
+    if n_chunks == 1:
+        results = [_run_chunk(scenario, procedures, chunks[0])]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            futures = [pool.submit(_run_chunk, scenario, procedures, ch) for ch in chunks]
+            results = [fut.result() for fut in futures]
+    for reps, cv, cr, ctp, cnpc in results:
         v[reps] = cv
         rr[reps] = cr
         tp[reps] = ctp
         npc[reps] = cnpc
-    else:
-        n_chunks = min(threads, b)
-        bounds = np.linspace(0, b, n_chunks + 1).astype(int)
-        chunks = [list(range(bounds[i], bounds[i + 1])) for i in range(n_chunks)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_chunk, scenario, procedures, ch) for ch in chunks]
-            for fut in concurrent.futures.as_completed(futures):
-                reps, cv, cr, ctp, cnpc = fut.result()
-                v[reps] = cv
-                rr[reps] = cr
-                tp[reps] = ctp
-                npc[reps] = cnpc
 
     pfer = v.astype(np.float64)
     fdr = v / np.maximum(rr, 1)
@@ -468,7 +400,7 @@ def load_scenarios(path: str) -> list[SimScenario]:
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != 4:
                 raise ParseError("power_targets needs exactly 4 values", lines[key])
-            values[key] = tuple(float(p) for p in parts)
+            values[key] = tuple(parse_one(key, p) for p in parts)
         elif key in _LIST_KEYS:
             values[key] = [parse_one(key, p.strip()) for p in text.split(",")]
         else:

@@ -72,3 +72,39 @@ def results_equal(a: af.DecisionResult, b: af.DecisionResult) -> bool:
         and np.array_equal(a.rejected, b.rejected)
         and np.array_equal(a.untestable, b.untestable)
     )
+
+
+def adafilter_bonferroni_twostep(stats: af.FilterSelectStats, alpha: float) -> af.DecisionResult:
+    """Two-step form of the adaptive Bonferroni procedure, an oracle for it.
+
+    Sort the filtering p-values, find m' = min{j : alpha/j < F_(j)} (m' = M_t
+    when the set is empty), then keep m = m' if F_(m') <= alpha/(m'-1) and
+    back off to m = m'-1 otherwise. The threshold is alpha/m. At m' = 1 the
+    back-off guard has no meaning and m = m' is taken; that choice is what
+    makes the result agree with adafilter_bonferroni on every input.
+    """
+    alpha = float(alpha)
+    fs = np.sort(stats.filter_p[stats.testable])
+    m_t = fs.shape[0]
+    thresholds = alpha / np.arange(1, m_t + 1)
+    exceed = fs > thresholds
+    if exceed.any():
+        m_prime = int(np.argmax(exceed)) + 1
+        if m_prime == 1:
+            m = 1
+        elif fs[m_prime - 1] <= float(thresholds[m_prime - 2]):
+            m = m_prime
+        else:
+            m = m_prime - 1
+    else:
+        m = m_t
+    gamma0 = alpha / m
+    return af.DecisionResult(
+        method=af.ProcedureKind.ADAFILTER_BONFERRONI,
+        alpha=alpha,
+        gamma0=gamma0,
+        filtered_count=m,
+        rejected=stats.testable & (stats.select_p <= gamma0),
+        untestable=~stats.testable,
+        adjusted=np.minimum(1.0, stats.select_p * m),
+    )

@@ -40,7 +40,7 @@ def test_01_bonferroni_definitions_agree():
         checked += 1
         alpha = helpers.random_alpha(rng)
         direct = af.adafilter_bonferroni(stats, alpha)
-        twostep = af.adafilter_bonferroni_twostep(stats, alpha)
+        twostep = helpers.adafilter_bonferroni_twostep(stats, alpha)
         assert helpers.results_equal(direct, twostep), (
             stats.filter_p,
             stats.select_p,
@@ -123,11 +123,7 @@ def _pfer_scenario(n, r, pi0, seed, **overrides):
 
 
 def test_04_expected_false_rejections_stay_below_alpha():
-    procs = (
-        af.PanelProcedure(
-            "adafilter-bonferroni", af.ProcedureKind.ADAFILTER_BONFERRONI, 1.0
-        ),
-    )
+    procs = (af.Procedure(af.ProcedureKind.ADAFILTER_BONFERRONI, 1.0),)
     start = time.perf_counter()
     worst = -math.inf
     for idx, (n, r) in enumerate(PANEL_CONFIGS):
@@ -152,20 +148,13 @@ _DIRECT_COMBINERS = ("simes", "fisher", "bonferroni")
 def _power_panel(adjustment_kind, alpha, block_size, seed_base):
     """Per-procedure average recall over the six configs, plus per-cell metrics."""
     if adjustment_kind == "bonferroni":
-        ada = af.PanelProcedure(
-            "adafilter-bonferroni", af.ProcedureKind.ADAFILTER_BONFERRONI, alpha
-        )
+        ada = af.Procedure(af.ProcedureKind.ADAFILTER_BONFERRONI, alpha)
         direct_kind = af.ProcedureKind.DIRECT_BONFERRONI
-        direct_prefix = "direct-bonferroni"
     else:
-        ada = af.PanelProcedure("adafilter-bh", af.ProcedureKind.ADAFILTER_BH, alpha)
+        ada = af.Procedure(af.ProcedureKind.ADAFILTER_BH, alpha)
         direct_kind = af.ProcedureKind.DIRECT_BH
-        direct_prefix = "direct-bh"
     procs = [ada] + [
-        af.PanelProcedure(
-            f"{direct_prefix}-{c}", direct_kind, alpha, af.PCCombinerKind(c)
-        )
-        for c in _DIRECT_COMBINERS
+        af.Procedure(direct_kind, alpha, af.PCCombinerKind(c)) for c in _DIRECT_COMBINERS
     ]
     cells = []
     for idx, (n, r) in enumerate(PANEL_CONFIGS):

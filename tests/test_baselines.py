@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import adafilter as af
-from adafilter.baselines import bh_stepup
+from adafilter.baselines import _bh_adjusted_pvalues, bh_stepup
 from adafilter.errors import ReplicabilityLevelOutOfRange, ValidationError
 import helpers
 
@@ -155,6 +155,55 @@ class TestDirectAdjust:
             adj = res.adjusted[testable]
             # standard identity: reject exactly the adjusted values <= alpha
             np.testing.assert_array_equal(res.rejected[testable], adj <= alpha)
+
+
+class TestBhAdjustedPvalues:
+    def test_heavily_tied_input_matches_definition(self):
+        # min over k >= i of m * P_(k) / k; positions with P_(k) >= P_j are
+        # exactly those from j's tie block on, and the block's last position
+        # gives its smallest value, so the definition needs no tie order
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            m = int(rng.integers(1, 40))
+            p = rng.choice([0.0, 0.01, 0.02, 0.05, 0.3, 1.0], size=m)
+            order = sorted(p.tolist())
+            want = [
+                min(1.0, min(order[k - 1] * (m / k) for k in range(1, m + 1) if order[k - 1] >= pj))
+                for pj in p.tolist()
+            ]
+            assert _bh_adjusted_pvalues(p).tolist() == want
+            perm = rng.permutation(m)
+            assert _bh_adjusted_pvalues(p[perm]).tolist() == [want[i] for i in perm]
+
+
+class TestRunProcedure:
+    def test_dispatch_matches_each_procedure(self):
+        rng = np.random.default_rng(29)
+        done = 0
+        while done < 100:
+            inst = helpers.random_matrix(rng, max_m=30)
+            if inst is None:
+                continue
+            mat, r = inst
+            done += 1
+            alpha = helpers.random_alpha(rng)
+            stats = af.compute_filter_select(mat, r)
+            for proc in af.default_panel_procedures(alpha, alpha):
+                got = af.run_procedure(mat, r, proc)
+                if proc.kind is af.ProcedureKind.ADAFILTER_BONFERRONI:
+                    want = af.adafilter_bonferroni(stats, alpha)
+                elif proc.kind is af.ProcedureKind.ADAFILTER_BH:
+                    want = af.adafilter_bh(stats, alpha)
+                else:
+                    adjustment = proc.kind.value.removeprefix("direct-")
+                    want = af.direct_adjust(mat, r, spec(proc.combiner.value, adjustment, alpha))
+                assert got.method is proc.kind is want.method
+                assert helpers.results_equal(got, want)
+
+    def test_names_follow_kind_and_combiner(self):
+        assert af.Procedure(af.ProcedureKind.ADAFILTER_BH, 0.1).name == "adafilter-bh"
+        proc = af.Procedure(af.ProcedureKind.DIRECT_BH, 0.1, af.PCCombinerKind.FISHER)
+        assert proc.name == "direct-bh-fisher"
 
 
 class TestPferBound:

@@ -1,12 +1,13 @@
 """CSV ingestion, golden command outputs, and end-to-end determinism."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
 import adafilter as af
-from adafilter.cli import RunConfig, cmd_curve, cmd_test, ingest_csv, main
+from adafilter.cli import cmd_curve, cmd_test, ingest_csv, main
 from adafilter.errors import (
     DuplicateIdentifier,
     OutOfRangeEntry,
@@ -27,6 +28,11 @@ block_size = 10
 replications = 4
 master_seed = 9
 """
+
+
+def cli_args(**fields) -> argparse.Namespace:
+    """Parsed arguments of one subcommand; the optional flags default to None."""
+    return argparse.Namespace(**{"combiner": None, "alpha": None, **fields})
 
 
 def write(tmp_path, name, text):
@@ -63,8 +69,17 @@ class TestIngestCsv:
             ingest_csv(write(tmp_path, "m.csv", "id,s1,s2\ng1,0.1,0.2\ng2,0.3\n"))
 
     def test_duplicate_ids(self, tmp_path):
-        with pytest.raises(DuplicateIdentifier):
-            ingest_csv(write(tmp_path, "m.csv", "id,s1\ng1,0.1\ng1,0.2\n"))
+        text = "id,s1\ng1,0.1\ng2,0.2\ng1,0.3\n"
+        with pytest.raises(DuplicateIdentifier, match="line 4: duplicate hypothesis id 'g1'") as exc:
+            ingest_csv(write(tmp_path, "m.csv", text))
+        assert exc.value.line == 4
+
+    def test_nan_token_is_not_the_missing_token(self, tmp_path):
+        for token in ("nan", "NaN"):
+            text = f"id,s1,s2\ng1,0.1,0.2\ng2,0.3,{token}\n"
+            with pytest.raises(ParseError, match="line 3: .* column 3; write NA") as exc:
+                ingest_csv(write(tmp_path, "m.csv", text))
+            assert exc.value.line == 3
 
     def test_header_only_or_empty(self, tmp_path):
         with pytest.raises(ParseError, match="no data rows"):
@@ -82,13 +97,12 @@ class TestIngestCsv:
 class TestCmdTest:
     def run(self, tmp_path, csv_text, **kwargs):
         out = tmp_path / "out.tsv"
-        config = RunConfig(
-            subcommand="test",
-            input_path=write(tmp_path, "in.csv", csv_text),
-            output_path=str(out),
+        args = cli_args(
+            input=write(tmp_path, "in.csv", csv_text),
+            output=str(out),
             **kwargs,
         )
-        assert cmd_test(config) == 0
+        assert cmd_test(args) == 0
         return out.read_bytes()
 
     def test_adaptive_bh_golden_output(self, tmp_path, capsys):
@@ -147,20 +161,18 @@ class TestCmdTest:
         path = write(tmp_path, "in.csv", TOY_CSV)
         with pytest.raises(ValidationError, match="requires --combiner"):
             cmd_test(
-                RunConfig(
-                    subcommand="test",
-                    input_path=path,
-                    output_path=out,
+                cli_args(
+                    input=path,
+                    output=out,
                     method="direct-bh",
                     r=2,
                 )
             )
         with pytest.raises(ValidationError, match="does not take"):
             cmd_test(
-                RunConfig(
-                    subcommand="test",
-                    input_path=path,
-                    output_path=out,
+                cli_args(
+                    input=path,
+                    output=out,
                     method="adafilter-bh",
                     combiner="simes",
                     r=2,
@@ -198,14 +210,13 @@ class TestCmdTest:
 class TestCmdCurve:
     def test_default_grid_with_alpha(self, tmp_path, capsys):
         out = tmp_path / "curve.tsv"
-        config = RunConfig(
-            subcommand="curve",
-            input_path=write(tmp_path, "in.csv", TOY_CSV),
-            output_path=str(out),
+        args = cli_args(
+            input=write(tmp_path, "in.csv", TOY_CSV),
+            output=str(out),
             r=2,
             alpha=0.05,
         )
-        assert cmd_curve(config) == 0
+        assert cmd_curve(args) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "gamma\tv_hat\tfdp_hat"
         assert lines[1] == "0\t0\t0"
@@ -215,26 +226,24 @@ class TestCmdCurve:
 
     def test_breakpoints_only_without_alpha(self, tmp_path):
         out = tmp_path / "curve.tsv"
-        config = RunConfig(
-            subcommand="curve",
-            input_path=write(tmp_path, "in.csv", TOY_CSV),
-            output_path=str(out),
+        args = cli_args(
+            input=write(tmp_path, "in.csv", TOY_CSV),
+            output=str(out),
             r=2,
         )
-        cmd_curve(config)
+        cmd_curve(args)
         gammas = [row.split("\t")[0] for row in out.read_text().splitlines()[1:]]
         assert gammas == ["0", "0.03", "0.04", "0.2", "0.9"]
 
     def test_grid_collapses_to_zero_when_everything_exceeds_one(self, tmp_path):
         csv_text = "id,s1,s2,s3\ng1,0.9,0.95,0.99\n"  # F=1.8, S=1.9
         out = tmp_path / "curve.tsv"
-        config = RunConfig(
-            subcommand="curve",
-            input_path=write(tmp_path, "in.csv", csv_text),
-            output_path=str(out),
+        args = cli_args(
+            input=write(tmp_path, "in.csv", csv_text),
+            output=str(out),
             r=2,
         )
-        cmd_curve(config)
+        cmd_curve(args)
         assert out.read_text() == "gamma\tv_hat\tfdp_hat\n0\t0\t0\n"
 
     def test_null_matrix_curve_crosses_alpha_at_threshold(self, tmp_path):
@@ -247,14 +256,13 @@ class TestCmdCurve:
             f"h{j},{float(p[0, j])!r},{float(p[1, j])!r}" for j in range(m)
         ]
         out = tmp_path / "curve.tsv"
-        config = RunConfig(
-            subcommand="curve",
-            input_path=write(tmp_path, "in.csv", "\n".join(lines) + "\n"),
-            output_path=str(out),
+        args = cli_args(
+            input=write(tmp_path, "in.csv", "\n".join(lines) + "\n"),
+            output=str(out),
             r=2,
             alpha=0.05,
         )
-        cmd_curve(config)
+        cmd_curve(args)
         mat = af.validate_matrix(p)
         stats = af.compute_filter_select(mat, 2)
         res = af.adafilter_bonferroni(stats, 0.05)
@@ -397,6 +405,16 @@ class TestCmdSimulate:
         )
         assert code == 1
         assert "ADAFILTER_THREADS" in capsys.readouterr().err
+
+    def test_bad_power_target_fails_cleanly(self, tmp_path, capsys):
+        text = TINY_SCENARIO + "power_targets = 0.1, abc, 0.5, 0.9\n"
+        scenario_path = write(tmp_path, "bad.scenario", text)
+        code = main(
+            ["simulate", "--scenario", scenario_path, "--output", str(tmp_path / "o.tsv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 10: bad value 'abc' for 'power_targets'"]
 
     def test_invalid_scenario_fails_cleanly(self, tmp_path, capsys):
         text = TINY_SCENARIO.replace("replications = 4", "replications = 0")

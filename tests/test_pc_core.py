@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import adafilter as af
 from adafilter.errors import (
@@ -81,6 +82,27 @@ class TestValidateMatrix:
         assert mat.values[0, 0] == 0.1
         with pytest.raises(ValueError):
             mat.values[0, 0] = 0.5
+
+
+class TestMemoisedOrderStatistics:
+    def test_each_value_computed_once_and_read_only(self, monkeypatch):
+        import adafilter.pc_core as pc_core
+
+        calls = []
+        sort = pc_core._column_sorted
+        monkeypatch.setattr(pc_core, "_column_sorted", lambda v: calls.append(1) or sort(v))
+        mat = af.validate_matrix([[0.9, NAN], [0.1, 0.3], [0.5, 0.2]])
+        assert mat.sorted_values is mat.sorted_values
+        np.testing.assert_array_equal(mat.sorted_values, [[0.1, 0.2], [0.5, 0.3], [0.9, NAN]])
+        for kind in COMBINERS:
+            assert mat.pc_pvalues(2, kind) is mat.pc_pvalues(2, kind)
+        af.compute_filter_select(mat, 2)
+        af.sort_column(mat, 1)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(mat.pc_pvalues(2, af.PCCombinerKind.BONFERRONI), [1.0, 0.3])
+        assert math.isnan(mat.pc_pvalues(3, af.PCCombinerKind.SIMES)[1])
+        for arr in (mat.n_per_hyp, mat.sorted_values, mat.pc_pvalues(2, af.PCCombinerKind.FISHER)):
+            assert not arr.flags.writeable
 
 
 class TestSortColumn:
@@ -185,13 +207,37 @@ class TestChiSquareSf:
                 assert abs(got - want) <= 1e-12, (x, df)
 
     def test_vectorized_matches_scalar(self):
+        # chi_square_sf wraps this kernel, so the reference is mpmath
+        mpmath.mp.dps = 50
         rng = np.random.default_rng(7)
         xs = np.concatenate([rng.uniform(0, 60, 200), [0.0, 1e-12, 2980.0, 4000.0]])
         for df in (2, 6, 14):
             got = _chi_square_sf_even(xs, df)
-            want = np.array([af.chi_square_sf(float(x), df) for x in xs])
-            # np.exp and math.exp may disagree in the last ulp
+            want = np.array([
+                float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(float(x)) / 2, regularized=True))
+                for x in xs
+            ])
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+            assert got[-2] == got[-1] == 0.0
+
+
+def reference_pc(column, r, kind):
+    """PC p-value of one column from its definition, in plain Python.
+
+    Bonferroni: k * P_(r); Simes: min_i k * P_(r-1+i) / i; Fisher: the
+    chi-square tail at -2 sum log P_(i) over the tail, with 2k degrees of
+    freedom; k = n_j - r + 1. Results are capped at 1.
+    """
+    p = sorted(x for x in column if not math.isnan(x))
+    k = len(p) - r + 1
+    tail = p[r - 1 :]
+    if kind is af.PCCombinerKind.BONFERRONI:
+        return min(1.0, k * tail[0])
+    if kind is af.PCCombinerKind.SIMES:
+        return min(1.0, min(k * tail[i] / (i + 1) for i in range(k)))
+    if 0.0 in tail:
+        return 0.0
+    return min(1.0, float(chi2.sf(-2.0 * math.fsum(math.log(x) for x in tail), 2 * k)))
 
 
 def bounded_floats(lo=0.0, hi=1.0):
@@ -247,12 +293,15 @@ class TestCombinerProperties:
             for kind in COMBINERS:
                 got = _pc_pvalues_from_sorted(sv, mat.n_per_hyp, r, kind)
                 for j in range(mat.n_hypotheses):
-                    col = af.sort_column(mat, j)
-                    if col.n_j < r:
+                    if mat.n_per_hyp[j] < r:
                         assert math.isnan(got[j])
-                    else:
-                        want = af.pc_pvalue(col, r, kind)
+                        continue
+                    want = reference_pc(mat.values[:, j].tolist(), r, kind)
+                    if kind is af.PCCombinerKind.FISHER:
                         assert got[j] == pytest.approx(want, abs=1e-13)
+                    else:
+                        # the same float operations in the same order
+                        assert got[j] == want
 
     def test_uniform_null_stays_valid(self):
         # empirical CDF of the combined p-value must sit at or below the

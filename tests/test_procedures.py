@@ -138,20 +138,20 @@ class TestAdaptiveBonferroni:
 class TestTwoStepForm:
     def test_backoff_trace(self):
         stats = stats_from_fs([0.01, 0.02, 0.06], [0.02, 0.05, 0.9])
-        res = af.adafilter_bonferroni_twostep(stats, 0.05)
+        res = helpers.adafilter_bonferroni_twostep(stats, 0.05)
         assert res.filtered_count == 2
         assert res.gamma0 == 0.025
 
     def test_immediate_exceedance_keeps_full_alpha(self):
         stats = stats_from_fs([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-        res = af.adafilter_bonferroni_twostep(stats, 0.05)
+        res = helpers.adafilter_bonferroni_twostep(stats, 0.05)
         assert res.gamma0 == 0.05
         assert res.filtered_count == 1
         assert res.n_rejected == 0
 
     def test_small_filters_keep_everything(self):
         stats = stats_from_fs([0.001, 0.002], [0.01, 0.02])
-        res = af.adafilter_bonferroni_twostep(stats, 0.05)
+        res = helpers.adafilter_bonferroni_twostep(stats, 0.05)
         assert res.filtered_count == 2
         assert res.gamma0 == 0.025
 
@@ -165,7 +165,7 @@ class TestTwoStepForm:
             done += 1
             alpha = helpers.random_alpha(rng)
             a = af.adafilter_bonferroni(stats, alpha)
-            b = af.adafilter_bonferroni_twostep(stats, alpha)
+            b = helpers.adafilter_bonferroni_twostep(stats, alpha)
             assert helpers.results_equal(a, b), (stats.filter_p, alpha)
 
 
@@ -284,7 +284,7 @@ class TestOracleAgreement:
 class TestDecisionInvariants:
     PROCEDURES = (
         af.adafilter_bonferroni,
-        af.adafilter_bonferroni_twostep,
+        helpers.adafilter_bonferroni_twostep,
         af.adafilter_bh,
     )
 

@@ -1,5 +1,6 @@
 """Simulation lab: scenario configs, calibrated signals, sampling, and panels."""
 
+import concurrent.futures
 import io
 import math
 import pathlib
@@ -222,7 +223,7 @@ class TestSamplePvalues:
 
 class TestRunPanel:
     PFER_PROC = (
-        af.PanelProcedure("adafilter-bonferroni", af.ProcedureKind.ADAFILTER_BONFERRONI, 1.0),
+        af.Procedure(af.ProcedureKind.ADAFILTER_BONFERRONI, 1.0),
     )
 
     def test_complete_null_pfer_control(self):
@@ -254,6 +255,33 @@ class TestRunPanel:
         parallel = af.run_panel(sc, af.default_panel_procedures(), threads=3)
         assert serial == parallel
 
+    def test_pool_has_one_worker_per_chunk(self, monkeypatch):
+        # an inline stand-in for the process pool records its size and
+        # starts no process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        sc = scenario(M=200, block_size=10, replications=3)
+        pooled = af.run_panel(sc, af.default_panel_procedures(), threads=64)
+        assert sizes == [3]
+        assert pooled == af.run_panel(sc, af.default_panel_procedures(), threads=1)
+        assert sizes == [3]
+
     def test_combiner_ordering_on_shared_draws(self):
         # Fisher pools the whole tail, Bonferroni only its smallest member;
         # on identical draws Fisher finds at least as much
@@ -268,14 +296,15 @@ class TestRunPanel:
         with pytest.raises(ValidationError):
             af.run_panel(scenario(), ())
         with pytest.raises(ValidationError):
-            af.PanelProcedure("x", af.ProcedureKind.DIRECT_BH, 0.1)  # no combiner
+            af.Procedure(af.ProcedureKind.DIRECT_BH, 0.1)  # no combiner
         with pytest.raises(ValidationError):
-            af.PanelProcedure(
-                "x",
+            af.Procedure(
                 af.ProcedureKind.ADAFILTER_BH,
                 0.1,
                 af.PCCombinerKind.SIMES,  # adaptive methods take none
             )
+        with pytest.raises(ValidationError):
+            af.Procedure(af.ProcedureKind.ADAFILTER_BH, 0.0)
 
     def test_default_panel_layout(self):
         procs = af.default_panel_procedures(alpha_pfer=0.9, alpha_fdr=0.15)
@@ -354,6 +383,7 @@ class TestScenarioFiles:
             ("M : 1000", "expected"),
             ("M =", "empty value"),
             ("r = 2", "pair up"),  # n has two entries, r one
+            ("M = 1000\npower_targets = 0.1, abc, 0.5, 0.9", "line 3: bad value 'abc'"),
         ],
     )
     def test_malformed_files(self, tmp_path, mutation, message):
