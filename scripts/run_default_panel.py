@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from adafilter import (
@@ -19,22 +19,13 @@ from adafilter import (
     run_panel,
     write_metrics_tsv,
 )
+from adafilter.simlab import atomic_output
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SCENARIOS = REPO_ROOT / "scenarios" / "default_panel.scenario"
 
 
-@dataclass(frozen=True)
-class PanelJob:
-    scenario_path: Path
-    output_path: Path
-    alpha_pfer: float
-    alpha_fdr: float
-    threads: int
-    seed: int | None
-
-
-def parse_args(argv: list[str] | None = None) -> PanelJob:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", type=Path, default=DEFAULT_SCENARIOS)
     parser.add_argument("--output", type=Path, default=Path("panel_metrics.tsv"))
@@ -52,36 +43,28 @@ def parse_args(argv: list[str] | None = None) -> PanelJob:
     )
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")
-    args = parser.parse_args(argv)
-    return PanelJob(
-        scenario_path=args.scenario,
-        output_path=args.output,
-        alpha_pfer=args.alpha_pfer,
-        alpha_fdr=args.alpha_fdr,
-        threads=args.threads,
-        seed=args.seed,
-    )
+    return parser.parse_args(argv)
 
 
-def run(job: PanelJob) -> None:
-    scenarios = load_scenarios(str(job.scenario_path))
-    if job.seed is not None:
-        scenarios = [replace(sc, master_seed=job.seed) for sc in scenarios]
+def run(args: argparse.Namespace) -> None:
+    scenarios = load_scenarios(str(args.scenario))
+    if args.seed is not None:
+        scenarios = [replace(sc, master_seed=args.seed) for sc in scenarios]
     procedures = default_panel_procedures(
-        alpha_pfer=job.alpha_pfer, alpha_fdr=job.alpha_fdr
+        alpha_pfer=args.alpha_pfer, alpha_fdr=args.alpha_fdr
     )
     reports = []
     start = time.perf_counter()
     for i, sc in enumerate(scenarios, start=1):
-        reports.append(run_panel(sc, procedures, threads=job.threads))
+        reports.append(run_panel(sc, procedures, threads=args.threads))
         print(
             f"[{i}/{len(scenarios)}] n={sc.n} r={sc.r} pi0={sc.pi0} "
             f"b={sc.block_size} done ({time.perf_counter() - start:.1f}s)",
             file=sys.stderr,
         )
-    with open(job.output_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_output(args.output) as fh:
         write_metrics_tsv(reports, fh)
-    print(f"wrote {len(scenarios) * len(procedures)} rows to {job.output_path}")
+    print(f"wrote {len(scenarios) * len(procedures)} rows to {args.output}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,22 +23,10 @@ from adafilter import (
     curves,
     validate_matrix,
 )
-from adafilter.simlab import format_float
+from adafilter.simlab import atomic_output, format_float, write_columns
 
 
-@dataclass(frozen=True)
-class CurveJob:
-    m: int
-    n: int
-    r: int
-    alpha: float
-    signal_fraction: float
-    mu: float
-    seed: int
-    output_path: Path
-
-
-def parse_args(argv: list[str] | None = None) -> CurveJob:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m", type=int, default=10000, help="hypotheses")
     parser.add_argument("--n", type=int, default=4, help="studies")
@@ -49,45 +36,33 @@ def parse_args(argv: list[str] | None = None) -> CurveJob:
     parser.add_argument("--mu", type=float, default=4.0, help="signal mean shift")
     parser.add_argument("--seed", type=int, default=20260825)
     parser.add_argument("--output", type=Path, default=Path("curves.tsv"))
-    args = parser.parse_args(argv)
-    return CurveJob(
-        m=args.m,
-        n=args.n,
-        r=args.r,
-        alpha=args.alpha,
-        signal_fraction=args.signal_fraction,
-        mu=args.mu,
-        seed=args.seed,
-        output_path=args.output,
-    )
+    return parser.parse_args(argv)
 
 
-def run(job: CurveJob) -> None:
-    rng = np.random.Generator(np.random.Philox(job.seed))
-    z = rng.standard_normal((job.n, job.m))
-    n_signal = int(round(job.signal_fraction * job.m))
-    signal_cols = rng.choice(job.m, size=n_signal, replace=False)
-    z[:, signal_cols] += job.mu
+def run(args: argparse.Namespace) -> None:
+    rng = np.random.Generator(np.random.Philox(args.seed))
+    z = rng.standard_normal((args.n, args.m))
+    n_signal = int(round(args.signal_fraction * args.m))
+    signal_cols = rng.choice(args.m, size=n_signal, replace=False)
+    z[:, signal_cols] += args.mu
     pvalues = erfc(np.abs(z) / np.sqrt(2.0))
 
     matrix = validate_matrix(pvalues)
-    stats = compute_filter_select(matrix, job.r)
-    table = curves(stats, grid=None, alpha=job.alpha)
-    with open(job.output_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("gamma\tv_hat\tfdp_hat\n")
-        for g, v, f in zip(table.gamma, table.v_hat, table.fdp_hat):
-            fh.write(
-                "\t".join([format_float(float(g)), format_float(float(v)), format_float(float(f))])
-                + "\n"
-            )
+    stats = compute_filter_select(matrix, args.r)
+    table = curves(stats, grid=None, alpha=args.alpha)
+    with atomic_output(args.output) as fh:
+        write_columns(fh, {
+            name: list(map(format_float, getattr(table, name).tolist()))
+            for name in ("gamma", "v_hat", "fdp_hat")
+        })
 
-    bon = adafilter_bonferroni(stats, job.alpha)
-    bh = adafilter_bh(stats, job.alpha)
+    bon = adafilter_bonferroni(stats, args.alpha)
+    bh = adafilter_bh(stats, args.alpha)
     print(f"planted_signals = {n_signal}", file=sys.stderr)
     print(f"grid_points = {table.gamma.shape[0]}")
     print(f"gamma0_bonferroni = {format_float(bon.gamma0)} ({bon.n_rejected} rejections)")
     print(f"gamma0_bh = {format_float(bh.gamma0)} ({bh.n_rejected} rejections)")
-    print(f"wrote {job.output_path}")
+    print(f"wrote {args.output}")
 
 
 if __name__ == "__main__":

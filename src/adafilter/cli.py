@@ -3,8 +3,8 @@
 Three subcommands: `test` runs one procedure on a CSV p-value matrix,
 `curve` emits the estimated-V/FDP table for a matrix, and `simulate` runs a
 scenario file through the Monte Carlo panel. All file outputs are TSV with
-'.' decimals and LF line endings; stdout carries a short human summary that
-is not part of the file contract.
+'.' decimals and LF line endings, put in place only once complete; stdout
+carries a short human summary that is not part of the file contract.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .baselines import run_procedure
 from .errors import (
@@ -28,10 +29,13 @@ from .errors import (
 from .pc_core import PCCombinerKind, PValueMatrix, validate_matrix
 from .procedures import Procedure, ProcedureKind, compute_filter_select, curves
 from .simlab import (
+    atomic_output,
     default_panel_procedures,
     format_float,
     load_scenarios,
+    open_input,
     run_panel,
+    write_columns,
     write_metrics_tsv,
 )
 
@@ -50,12 +54,12 @@ def ingest_csv(path: str) -> PValueMatrix:
     ids: dict[str, None] = {}  # ids in file order, as dict keys for the duplicate check
     rows: list[list[float]] = []
     n_studies: int | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, record in enumerate(reader, start=1):
             if not record:
                 continue
-            if lineno == 1:
+            if n_studies is None:
                 if len(record) < 2:
                     raise ParseError("header needs an id column and at least one study", lineno)
                 n_studies = len(record) - 1
@@ -93,18 +97,13 @@ def ingest_csv(path: str) -> PValueMatrix:
     return validate_matrix(np.array(rows, dtype=np.float64).T, ids=ids)
 
 
-def _open_output(path: str):
-    return open(path, "w", encoding="utf-8", newline="")
+def _capped(values: NDArray) -> list[str]:
+    """Reported p-values: capped at 1 for display, NaN as NA."""
+    return list(map(format_float, np.minimum(values, 1.0).tolist()))
 
 
-def _flag(value: bool) -> str:
-    return "1" if value else "0"
-
-
-def _capped(value: float) -> str:
-    if math.isnan(value):
-        return "NA"
-    return format_float(min(1.0, value))
+def _flags(values: NDArray) -> list[str]:
+    return ["1" if v else "0" for v in values.tolist()]
 
 
 def cmd_test(args: argparse.Namespace) -> int:
@@ -116,24 +115,18 @@ def cmd_test(args: argparse.Namespace) -> int:
     matrix = ingest_csv(args.input)
     stats = compute_filter_select(matrix, args.r)
     result = run_procedure(matrix, args.r, proc)
-    pc = None if combiner is None else matrix.pc_pvalues(args.r, combiner)
 
-    header = ["id", "filter_p", "select_p"]
-    if pc is not None:
-        header.append("pc_pvalue")
-    header += ["rejected", "untestable"]
-    with _open_output(args.output) as fh:
-        fh.write("\t".join(header) + "\n")
-        for j in range(matrix.n_hypotheses):
-            row = [
-                matrix.ids[j],
-                _capped(float(stats.filter_p[j])),
-                _capped(float(stats.select_p[j])),
-            ]
-            if pc is not None:
-                row.append(_capped(float(pc[j])))
-            row += [_flag(bool(result.rejected[j])), _flag(bool(result.untestable[j]))]
-            fh.write("\t".join(row) + "\n")
+    columns = {
+        "id": matrix.ids,
+        "filter_p": _capped(stats.filter_p),
+        "select_p": _capped(stats.select_p),
+    }
+    if combiner is not None:
+        columns["pc_pvalue"] = _capped(matrix.pc_pvalues(args.r, combiner))
+    columns["rejected"] = _flags(result.rejected)
+    columns["untestable"] = _flags(result.untestable)
+    with atomic_output(args.output) as fh:
+        write_columns(fh, columns)
 
     print(f"gamma0 = {format_float(result.gamma0)}")
     if result.filtered_count is not None:
@@ -146,15 +139,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
     """Write the estimated-V/FDP table of an input matrix over the default grid."""
     matrix = ingest_csv(args.input)
     stats = compute_filter_select(matrix, args.r)
-    curves_table = curves(stats, grid=None, alpha=args.alpha)
-    with _open_output(args.output) as fh:
-        fh.write("gamma\tv_hat\tfdp_hat\n")
-        for g, v, f in zip(curves_table.gamma, curves_table.v_hat, curves_table.fdp_hat):
-            fh.write(
-                "\t".join([format_float(float(g)), format_float(float(v)), format_float(float(f))])
-                + "\n"
-            )
-    print(f"grid_points = {curves_table.gamma.shape[0]}")
+    table = curves(stats, grid=None, alpha=args.alpha)
+    with atomic_output(args.output) as fh:
+        write_columns(fh, {
+            name: list(map(format_float, getattr(table, name).tolist()))
+            for name in ("gamma", "v_hat", "fdp_hat")
+        })
+    print(f"grid_points = {table.gamma.shape[0]}")
     return 0
 
 
@@ -169,7 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         procedures = default_panel_procedures()
     reports = [run_panel(sc, procedures, threads=threads) for sc in scenarios]
-    with _open_output(args.output) as fh:
+    with atomic_output(args.output) as fh:
         write_metrics_tsv(reports, fh)
     for seed in dict.fromkeys(sc.master_seed for sc in scenarios):
         print(f"master_seed = {seed}")
@@ -179,15 +170,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("ADAFILTER_THREADS")
-    if env is None:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"ADAFILTER_THREADS must be an integer, got {env!r}") from None
+    source = "--threads"
+    if value is None:
+        source = "ADAFILTER_THREADS"
+        env = os.environ.get(source)
+        if env is None:
+            return 1
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValidationError(f"{source} must be an integer, got {env!r}") from None
+    if value < 1:
+        raise ValidationError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,11 @@ independent and results do not depend on how work is scheduled.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
+import os
+import stat
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -41,6 +45,9 @@ __all__ = [
     "load_scenarios",
     "write_metrics_tsv",
     "format_float",
+    "write_columns",
+    "atomic_output",
+    "open_input",
 ]
 
 
@@ -356,7 +363,6 @@ def run_panel(
 
 _LIST_KEYS = {"n", "r", "pi0", "block_size"}
 _INT_KEYS = {"M", "n", "r", "block_size", "replications", "master_seed"}
-_FLOAT_KEYS = {"pi0", "pi_rn", "rho", "calibration_alpha"}
 _REQUIRED_KEYS = {"M", "n", "r", "pi0", "pi_rn", "rho", "block_size", "replications", "master_seed"}
 _ALL_KEYS = {f.name for f in fields(SimScenario)}
 
@@ -365,7 +371,7 @@ def load_scenarios(path: str) -> list[SimScenario]:
     """Parse a scenario file, expanding list-valued keys into a scenario grid."""
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -431,6 +437,68 @@ def load_scenarios(path: str) -> list[SimScenario]:
     return scenarios
 
 
+@contextlib.contextmanager
+def open_input(path: str, newline: str | None = None) -> Iterator:
+    """Open a UTF-8 text input; an undecodable byte becomes a ParseError naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str) -> ParseError:
+    # the text layer decodes ahead in chunks, so a second pass finds the line
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(
+                    f"byte {line[exc.start]:#04x} in column {exc.start + 1} is not UTF-8", lineno
+                )
+    return ParseError("input is not UTF-8")
+
+
+@contextlib.contextmanager
+def atomic_output(path: str | os.PathLike) -> Iterator:
+    """Open an output table for writing (UTF-8, LF); it replaces `path` only on success.
+
+    The text goes to a temporary file beside the destination, renamed over it
+    on success and deleted on any exception, so a failed run leaves a previous
+    file untouched. New files get the mode a plain open() gives, replaced files
+    keep theirs, and a symlink's target is replaced. A destination that exists
+    but is not a regular file (/dev/stdout, a FIFO) is written directly.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_columns(fh, columns: Mapping[str, Sequence[str]]) -> None:
+    """Write a TSV table: the keys as header, then one row per position of the columns."""
+    fh.write("\t".join(columns) + "\n")
+    fh.writelines("\t".join(row) + "\n" for row in zip(*columns.values()))
+
+
 def format_float(x: float) -> str:
     """TSV float formatting: 12 significant digits, NaN as NA."""
     if isinstance(x, float) and math.isnan(x):
@@ -438,52 +506,20 @@ def format_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
-_METRIC_COLUMNS = (
-    "M",
-    "n",
-    "r",
-    "pi0",
-    "pi_rn",
-    "rho",
-    "block_size",
-    "replications",
-    "master_seed",
-    "procedure",
-    "alpha",
-    "pfer_mean",
-    "pfer_ci95",
-    "fdr_mean",
-    "fdr_ci95",
-    "recall_mean",
-    "recall_ci95",
+_SCENARIO_COLUMNS = ("M", "n", "r", "pi0", "pi_rn", "rho", "block_size", "replications", "master_seed")
+_PROCEDURE_COLUMNS = (
+    "procedure", "alpha", "pfer_mean", "pfer_ci95", "fdr_mean", "fdr_ci95", "recall_mean", "recall_ci95"
 )
+
+
+def _cell(value: object) -> str:
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 def write_metrics_tsv(reports: list[MetricsReport], fh) -> None:
     """One row per (scenario, procedure); tab-separated, '.' decimals, LF endings."""
-    fh.write("\t".join(_METRIC_COLUMNS) + "\n")
-    for report in reports:
-        sc = report.scenario
-        prefix = [
-            str(sc.M),
-            str(sc.n),
-            str(sc.r),
-            format_float(sc.pi0),
-            format_float(sc.pi_rn),
-            format_float(sc.rho),
-            str(sc.block_size),
-            str(sc.replications),
-            str(sc.master_seed),
-        ]
-        for pm in report.metrics:
-            row = prefix + [
-                pm.procedure,
-                format_float(pm.alpha),
-                format_float(pm.pfer_mean),
-                format_float(pm.pfer_ci95),
-                format_float(pm.fdr_mean),
-                format_float(pm.fdr_ci95),
-                format_float(pm.recall_mean),
-                format_float(pm.recall_ci95),
-            ]
-            fh.write("\t".join(row) + "\n")
+    rows = [(report.scenario, pm) for report in reports for pm in report.metrics]
+    columns = {name: [_cell(getattr(sc, name)) for sc, _ in rows] for name in _SCENARIO_COLUMNS}
+    for name in _PROCEDURE_COLUMNS:
+        columns[name] = [_cell(getattr(pm, name)) for _, pm in rows]
+    write_columns(fh, columns)

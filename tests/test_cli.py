@@ -2,6 +2,10 @@
 
 import argparse
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +96,8 @@ class TestIngestCsv:
     def test_blank_lines_skipped(self, tmp_path):
         mat = ingest_csv(write(tmp_path, "m.csv", "id,s1,s2\n\ng1,0.1,0.2\n\n"))
         assert mat.n_hypotheses == 1
+        mat = ingest_csv(write(tmp_path, "m.csv", "\nid,s1\ng1,0.5\n"))
+        assert mat.ids == ("g1",)
 
 
 class TestCmdTest:
@@ -343,6 +349,58 @@ class TestMainEntry:
                 ]
             )
 
+    def test_non_utf8_input_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"id,s1\ng1,0.5\ng2,0.\xff\n")
+        code = main(
+            [
+                "test",
+                "--input",
+                str(path),
+                "--output",
+                str(tmp_path / "o.tsv"),
+                "--method",
+                "adafilter-bh",
+                "--r",
+                "2",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 3: byte 0xff in column 6 is not UTF-8"]
+        assert not (tmp_path / "o.tsv").exists()
+
+    def test_output_to_stdout_pipe(self, tmp_path):
+        # /dev/stdout is a pipe here: it is written directly, not replaced
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "adafilter.cli",
+                "test",
+                "--input",
+                write(tmp_path, "in.csv", TOY_CSV),
+                "--output",
+                "/dev/stdout",
+                "--method",
+                "adafilter-bh",
+                "--r",
+                "2",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(af.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(
+            "id\tfilter_p\tselect_p\trejected\tuntestable\n"
+            "g1\t0.03\t0.04\t1\t0\n"
+            "g2\t0.2\t0.9\t0\t0\n"
+        )
+        assert "rejections = 1" in proc.stdout
+        assert list(tmp_path.iterdir()) == [tmp_path / "in.csv"]
+
     def test_direct_without_combiner_fails_cleanly(self, tmp_path, capsys):
         code = main(
             [
@@ -405,6 +463,34 @@ class TestCmdSimulate:
         )
         assert code == 1
         assert "ADAFILTER_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, env, message",
+        [
+            (["--threads", "0"], None, "--threads must be >= 1, got 0"),
+            (["--threads", "-2"], None, "--threads must be >= 1, got -2"),
+            ([], "0", "ADAFILTER_THREADS must be >= 1, got 0"),
+        ],
+    )
+    def test_threads_below_one(self, tmp_path, monkeypatch, capsys, flags, env, message):
+        if env is None:
+            monkeypatch.delenv("ADAFILTER_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ADAFILTER_THREADS", env)
+        scenario_path = write(tmp_path, "tiny.scenario", TINY_SCENARIO)
+        code = main(
+            ["simulate", "--scenario", scenario_path, "--output", str(tmp_path / "o.tsv"), *flags]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_non_utf8_scenario_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "bad.scenario"
+        path.write_bytes(TINY_SCENARIO.replace("rho = 0.5", "rho = \xff").encode("latin-1"))
+        code = main(["simulate", "--scenario", str(path), "--output", str(tmp_path / "o.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 6: byte 0xff in column 7 is not UTF-8"]
 
     def test_bad_power_target_fails_cleanly(self, tmp_path, capsys):
         text = TINY_SCENARIO + "power_targets = 0.1, abc, 0.5, 0.9\n"

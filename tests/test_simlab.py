@@ -3,7 +3,9 @@
 import concurrent.futures
 import io
 import math
+import os
 import pathlib
+import stat
 
 import mpmath
 import numpy as np
@@ -12,7 +14,7 @@ from scipy.special import erfc
 
 import adafilter as af
 from adafilter.errors import NoConvergence, ParseError, ValidationError
-from adafilter.simlab import _stream, format_float
+from adafilter.simlab import _stream, atomic_output, format_float, write_columns
 
 
 def scenario(**overrides) -> af.SimScenario:
@@ -454,3 +456,50 @@ class TestMetricsTsv:
         af.write_metrics_tsv([report], buf)
         row = buf.getvalue().split("\n")[1]
         assert "\tNA" in row
+
+
+class TestAtomicOutput:
+    def test_failure_partway_leaves_previous_file(self, tmp_path):
+        out = tmp_path / "table.tsv"
+        out.write_bytes(b"previous\n")
+        # the join fails on the last row, long after the first rows were flushed
+        column = ["x"] * 100_000 + [None]
+        with pytest.raises(TypeError):
+            with atomic_output(out) as fh:
+                write_columns(fh, {"a": column})
+        assert out.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["table.tsv"]
+
+    def test_success_replaces_and_keeps_mode(self, tmp_path):
+        out = tmp_path / "table.tsv"
+        out.write_bytes(b"previous\n")
+        out.chmod(0o600)
+        with atomic_output(out) as fh:
+            write_columns(fh, {"a": ["1", "2"], "b": ["x", "y"]})
+        assert out.read_bytes() == b"a\tb\n1\tx\n2\ty\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert os.listdir(tmp_path) == ["table.tsv"]
+
+    def test_new_file_gets_plain_open_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with atomic_output(tmp_path / "new.tsv") as fh:
+                fh.write("a\n")
+            with open(tmp_path / "plain.tsv", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "new.tsv").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "plain.tsv").stat().st_mode) == 0o640
+
+    def test_symlink_written_through(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "table.tsv"
+        target.write_bytes(b"previous\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        with atomic_output(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path / "data") == ["table.tsv"]
