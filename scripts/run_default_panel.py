@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from adafilter import (
+    AdaFilterError,
     default_panel_procedures,
     load_scenarios,
     run_panel,
@@ -46,26 +47,32 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def run(args: argparse.Namespace) -> None:
-    scenarios = load_scenarios(str(args.scenario))
-    if args.seed is not None:
-        scenarios = [replace(sc, master_seed=args.seed) for sc in scenarios]
-    procedures = default_panel_procedures(
-        alpha_pfer=args.alpha_pfer, alpha_fdr=args.alpha_fdr
-    )
-    reports = []
-    start = time.perf_counter()
-    for i, sc in enumerate(scenarios, start=1):
-        reports.append(run_panel(sc, procedures, threads=args.threads))
-        print(
-            f"[{i}/{len(scenarios)}] n={sc.n} r={sc.r} pi0={sc.pi0} "
-            f"b={sc.block_size} done ({time.perf_counter() - start:.1f}s)",
-            file=sys.stderr,
+def run(args: argparse.Namespace) -> int:
+    """Run the panel and write its metrics; bad input ends in one error line and 1."""
+    try:
+        scenarios = load_scenarios(str(args.scenario))
+        if args.seed is not None:
+            scenarios = [replace(sc, master_seed=args.seed) for sc in scenarios]
+        procedures = default_panel_procedures(
+            alpha_pfer=args.alpha_pfer, alpha_fdr=args.alpha_fdr
         )
-    with atomic_output(args.output) as fh:
-        write_metrics_tsv(reports, fh)
+        reports = []
+        start = time.perf_counter()
+        for i, sc in enumerate(scenarios, start=1):
+            reports.append(run_panel(sc, procedures, threads=args.threads))
+            print(
+                f"[{i}/{len(scenarios)}] n={sc.n} r={sc.r} pi0={sc.pi0} "
+                f"b={sc.block_size} done ({time.perf_counter() - start:.1f}s)",
+                file=sys.stderr,
+            )
+        with atomic_output(args.output) as fh:
+            write_metrics_tsv(reports, fh)
+    except (AdaFilterError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(scenarios) * len(procedures)} rows to {args.output}")
+    return 0
 
 
 if __name__ == "__main__":
-    run(parse_args())
+    sys.exit(run(parse_args()))

@@ -17,13 +17,14 @@ import numpy as np
 from scipy.special import erfc
 
 from adafilter import (
+    AdaFilterError,
     adafilter_bh,
     adafilter_bonferroni,
     compute_filter_select,
     curves,
     validate_matrix,
 )
-from adafilter.simlab import atomic_output, format_float, write_columns
+from adafilter.simlab import atomic_output, format_float, write_curves_tsv
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -39,31 +40,34 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def run(args: argparse.Namespace) -> None:
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    z = rng.standard_normal((args.n, args.m))
-    n_signal = int(round(args.signal_fraction * args.m))
-    signal_cols = rng.choice(args.m, size=n_signal, replace=False)
-    z[:, signal_cols] += args.mu
-    pvalues = erfc(np.abs(z) / np.sqrt(2.0))
+def run(args: argparse.Namespace) -> int:
+    """Write the curves and echo both thresholds; bad input ends in one error line and 1."""
+    try:
+        rng = np.random.Generator(np.random.Philox(args.seed))
+        z = rng.standard_normal((args.n, args.m))
+        n_signal = int(round(args.signal_fraction * args.m))
+        signal_cols = rng.choice(args.m, size=n_signal, replace=False)
+        z[:, signal_cols] += args.mu
+        pvalues = erfc(np.abs(z) / np.sqrt(2.0))
 
-    matrix = validate_matrix(pvalues)
-    stats = compute_filter_select(matrix, args.r)
-    table = curves(stats, grid=None, alpha=args.alpha)
-    with atomic_output(args.output) as fh:
-        write_columns(fh, {
-            name: list(map(format_float, getattr(table, name).tolist()))
-            for name in ("gamma", "v_hat", "fdp_hat")
-        })
+        matrix = validate_matrix(pvalues)
+        stats = compute_filter_select(matrix, args.r)
+        table = curves(stats, grid=None, alpha=args.alpha)
+        with atomic_output(args.output) as fh:
+            write_curves_tsv(table, fh)
 
-    bon = adafilter_bonferroni(stats, args.alpha)
-    bh = adafilter_bh(stats, args.alpha)
+        bon = adafilter_bonferroni(stats, args.alpha)
+        bh = adafilter_bh(stats, args.alpha)
+    except (AdaFilterError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"planted_signals = {n_signal}", file=sys.stderr)
     print(f"grid_points = {table.gamma.shape[0]}")
     print(f"gamma0_bonferroni = {format_float(bon.gamma0)} ({bon.n_rejected} rejections)")
     print(f"gamma0_bh = {format_float(bh.gamma0)} ({bh.n_rejected} rejections)")
     print(f"wrote {args.output}")
+    return 0
 
 
 if __name__ == "__main__":
-    run(parse_args())
+    sys.exit(run(parse_args()))

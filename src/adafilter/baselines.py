@@ -14,13 +14,14 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ReplicabilityLevelOutOfRange, ValidationError
+from .errors import ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix
 from .procedures import (
     DecisionResult,
     Procedure,
     ProcedureKind,
     _check_alpha,
+    _decision,
     adafilter_bh,
     adafilter_bonferroni,
     compute_filter_select,
@@ -92,42 +93,25 @@ def direct_adjust(matrix: PValueMatrix, r: int, spec: DirectProcedureSpec) -> De
     adjusted holds standard adjusted p-values (min(1, M_t * P) for
     Bonferroni, the monotone step-up adjustment for BH).
     """
-    n_per = matrix.n_per_hyp
-    n_max = int(n_per.max())
-    if r < 2 or r > n_max:
-        raise ReplicabilityLevelOutOfRange(r, n_max)
+    testable = matrix.testable(r)
     alpha = float(spec.alpha)
 
     pc = matrix.pc_pvalues(r, spec.combiner)
     # r <= max n_j, so at least one column is testable
-    testable = n_per >= r
-    m_t = int(np.count_nonzero(testable))
-
     p_test = pc[testable]
+    m_t = p_test.shape[0]
     adjusted = np.full(pc.shape[0], np.nan)
     if spec.adjustment is AdjustmentKind.BONFERRONI:
         method = ProcedureKind.DIRECT_BONFERRONI
         cutoff = alpha / m_t
-        rej_test = p_test <= cutoff
         adjusted[testable] = np.minimum(1.0, p_test * m_t)
     else:
         method = ProcedureKind.DIRECT_BH
-        rej_test, cutoff = bh_stepup(p_test, alpha)
+        # when nothing is rejected the cutoff is 0.0 and no P is 0 (a 0 is
+        # always rejected), so P <= cutoff reproduces the step-up's mask
+        _, cutoff = bh_stepup(p_test, alpha)
         adjusted[testable] = _bh_adjusted_pvalues(p_test)
-
-    rejected = np.zeros(pc.shape[0], dtype=bool)
-    rejected[testable] = rej_test
-    rejected.setflags(write=False)
-    adjusted.setflags(write=False)
-    return DecisionResult(
-        method=method,
-        alpha=alpha,
-        gamma0=float(cutoff),
-        filtered_count=None,
-        rejected=rejected,
-        untestable=~testable,
-        adjusted=adjusted,
-    )
+    return _decision(method, alpha, cutoff, pc, testable, adjusted)
 
 
 def _bh_adjusted_pvalues(pvalues: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -36,6 +36,7 @@ from .simlab import (
     open_input,
     run_panel,
     write_columns,
+    write_curves_tsv,
     write_metrics_tsv,
 )
 
@@ -141,10 +142,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     stats = compute_filter_select(matrix, args.r)
     table = curves(stats, grid=None, alpha=args.alpha)
     with atomic_output(args.output) as fh:
-        write_columns(fh, {
-            name: list(map(format_float, getattr(table, name).tolist()))
-            for name in ("gamma", "v_hat", "fdp_hat")
-        })
+        write_curves_tsv(table, fh)
     print(f"grid_points = {table.gamma.shape[0]}")
     return 0
 

@@ -75,6 +75,13 @@ class PValueMatrix:
         """Each column sorted ascending, missing entries (NaN) at the bottom."""
         return _read_only(_column_sorted(self.values))
 
+    def testable(self, r: int) -> NDArray[np.bool_]:
+        """Columns with n_j >= r; raises unless 2 <= r <= max n_j."""
+        n_max = int(self.n_per_hyp.max())
+        if r < 2 or r > n_max:
+            raise ReplicabilityLevelOutOfRange(r, n_max)
+        return _read_only(self.n_per_hyp >= r)
+
     def pc_pvalues(self, r: int, kind: PCCombinerKind) -> NDArray[np.float64]:
         """PC p-value of every column at level r; NaN where n_j < r."""
         key = (r, kind)

@@ -29,10 +29,9 @@ from numpy.typing import NDArray
 from .errors import (
     NoTestableHypotheses,
     OracleSizeExceeded,
-    ReplicabilityLevelOutOfRange,
     ValidationError,
 )
-from .pc_core import PCCombinerKind, PValueMatrix
+from .pc_core import PCCombinerKind, PValueMatrix, _read_only
 
 __all__ = [
     "ProcedureKind",
@@ -96,8 +95,6 @@ class FilterSelectStats:
 
     filter_p: NDArray[np.float64]
     select_p: NDArray[np.float64]
-    n_per_hyp: NDArray[np.int64]
-    r: int
     testable: NDArray[np.bool_]
 
     @property
@@ -148,31 +145,15 @@ def compute_filter_select(matrix: PValueMatrix, r: int) -> FilterSelectStats:
     used; columns with n_j < r are flagged untestable and excluded from all
     later counts.
     """
-    n_per = matrix.n_per_hyp
-    n_max = int(n_per.max())
-    if r < 2 or r > n_max:
-        raise ReplicabilityLevelOutOfRange(r, n_max)
-
+    testable = matrix.testable(r)
     sv = matrix.sorted_values
-    testable = n_per >= r
-    k = (n_per - r + 1).astype(np.float64)
-    # sorted columns put NaN last, so rows r-2 and r-1 are NaN exactly where
-    # n_j < r; the untestable slots come out NaN without masking
+    k = (matrix.n_per_hyp - r + 1).astype(np.float64)
+    # sorted columns put NaN last, so row r-1 is NaN exactly where n_j < r;
+    # row r-2 still holds a value where n_j = r-1, so filter_p needs the mask
     filter_p = k * sv[r - 2, :]
     select_p = k * sv[r - 1, :]
     filter_p[~testable] = np.nan
-    select_p[~testable] = np.nan
-
-    filter_p.setflags(write=False)
-    select_p.setflags(write=False)
-    testable.setflags(write=False)
-    return FilterSelectStats(
-        filter_p=filter_p,
-        select_p=select_p,
-        n_per_hyp=n_per,
-        r=int(r),
-        testable=testable,
-    )
+    return FilterSelectStats(_read_only(filter_p), _read_only(select_p), testable)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -190,8 +171,20 @@ def _testable_sorted(stats: FilterSelectStats) -> tuple[NDArray, NDArray, int]:
     return np.sort(stats.filter_p[mask]), np.sort(stats.select_p[mask]), m_t
 
 
-def _rejections(stats: FilterSelectStats, gamma0: float) -> NDArray[np.bool_]:
-    return stats.testable & (stats.select_p <= gamma0)
+def _decision(
+    method: ProcedureKind, alpha: float, gamma0: float, stat: NDArray, testable: NDArray,
+    adjusted: NDArray | None = None, filtered_count: int | None = None,
+) -> DecisionResult:
+    """Every procedure's last step: reject the testable j whose statistic is <= gamma0.
+
+    The statistic is S_j for the adaptive procedures, the PC p-value for the direct ones.
+    """
+    rejected = testable & (stat <= gamma0)
+    untestable = ~testable
+    for arr in (rejected, untestable, adjusted):
+        if arr is not None:
+            arr.setflags(write=False)
+    return DecisionResult(method, alpha, gamma0, filtered_count, rejected, untestable, adjusted)
 
 
 def adafilter_bonferroni(stats: FilterSelectStats, alpha: float) -> DecisionResult:
@@ -210,15 +203,9 @@ def adafilter_bonferroni(stats: FilterSelectStats, alpha: float) -> DecisionResu
     k_star = int(np.argmax(feasible)) + 1  # k = m_t is always feasible
     gamma0 = float(gammas[k_star - 1])
     adjusted = np.minimum(1.0, stats.select_p * k_star)
-    adjusted.setflags(write=False)
-    return DecisionResult(
-        method=ProcedureKind.ADAFILTER_BONFERRONI,
-        alpha=alpha,
-        gamma0=gamma0,
-        filtered_count=k_star,
-        rejected=_rejections(stats, gamma0),
-        untestable=~stats.testable,
-        adjusted=adjusted,
+    return _decision(
+        ProcedureKind.ADAFILTER_BONFERRONI, alpha, gamma0, stats.select_p, stats.testable,
+        adjusted, filtered_count=k_star,
     )
 
 
@@ -374,29 +361,20 @@ def adafilter_bh(
     alpha = _check_alpha(alpha)
     fs, ss, m_t = _testable_sorted(stats)
     gamma0 = _bh_threshold(fs, ss, m_t, alpha)
-    adjusted = None
-    if compute_adjusted:
-        adjusted = _bh_adjusted(stats, fs, ss, m_t)
-    return DecisionResult(
-        method=ProcedureKind.ADAFILTER_BH,
-        alpha=alpha,
-        gamma0=gamma0,
-        filtered_count=None,
-        rejected=_rejections(stats, gamma0),
-        untestable=~stats.testable,
-        adjusted=adjusted,
+    adjusted = _bh_adjusted(stats, fs, ss, m_t) if compute_adjusted else None
+    return _decision(
+        ProcedureKind.ADAFILTER_BH, alpha, gamma0, stats.select_p, stats.testable, adjusted
     )
 
 
 def _bh_adjusted(
     stats: FilterSelectStats, fs: NDArray, ss: NDArray, m_t: int
 ) -> NDArray[np.float64]:
-    out = np.full(stats.n_hypotheses, np.nan)
-    for j in np.flatnonzero(stats.testable):
+    """1 where alpha = 1 does not reject, NaN where untestable, bisection elsewhere."""
+    out = np.where(stats.testable, 1.0, np.nan)
+    rejected_at_one = stats.testable & (stats.select_p <= _bh_threshold(fs, ss, m_t, 1.0))
+    for j in np.flatnonzero(rejected_at_one):
         s_j = float(stats.select_p[j])
-        if not s_j <= _bh_threshold(fs, ss, m_t, 1.0):
-            out[j] = 1.0
-            continue
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -407,7 +385,6 @@ def _bh_adjusted(
             else:
                 lo = mid
         out[j] = hi
-    out.setflags(write=False)
     return out
 
 
@@ -438,15 +415,7 @@ def adafilter_bh_oracle(stats: FilterSelectStats, alpha: float) -> DecisionResul
     c_s = np.searchsorted(ss, gammas, side="right")
     feasible = ks * c_f <= ms * c_s
     gamma0 = float(gammas[feasible].max()) if feasible.any() else 0.0
-    return DecisionResult(
-        method=ProcedureKind.ADAFILTER_BH,
-        alpha=alpha,
-        gamma0=gamma0,
-        filtered_count=None,
-        rejected=_rejections(stats, gamma0),
-        untestable=~stats.testable,
-        adjusted=None,
-    )
+    return _decision(ProcedureKind.ADAFILTER_BH, alpha, gamma0, stats.select_p, stats.testable)
 
 
 def curves(

@@ -19,6 +19,7 @@ import contextlib
 import math
 import os
 import stat
+import sys
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -29,7 +30,7 @@ from scipy.special import erfc, ndtr, ndtri
 
 from .errors import NoConvergence, ParseError, ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix
-from .procedures import Procedure, ProcedureKind
+from .procedures import CurveTable, Procedure, ProcedureKind
 from .baselines import run_procedure
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "run_panel",
     "load_scenarios",
     "write_metrics_tsv",
+    "write_curves_tsv",
     "format_float",
     "write_columns",
     "atomic_output",
@@ -216,16 +218,11 @@ def sample_truth(scenario: SimScenario, rep: int) -> TruthAssignment:
     cat = g.choice(3, size=m, p=np.array([scenario.pi0, p_mid, scenario.pi_rn]))
 
     k_counts = np.zeros(m, dtype=np.int64)
-    mid_idx = np.flatnonzero(cat == 1)
-    if mid_idx.size:
-        ks = np.arange(1, r)
-        w = np.array([math.comb(n, int(k)) for k in ks], dtype=np.float64)
-        k_counts[mid_idx] = g.choice(ks, size=mid_idx.size, p=w / w.sum())
-    top_idx = np.flatnonzero(cat == 2)
-    if top_idx.size:
-        ks = np.arange(r, n + 1)
-        w = np.array([math.comb(n, int(k)) for k in ks], dtype=np.float64)
-        k_counts[top_idx] = g.choice(ks, size=top_idx.size, p=w / w.sum())
+    for category, ks in ((1, np.arange(1, r)), (2, np.arange(r, n + 1))):
+        idx = np.flatnonzero(cat == category)
+        if idx.size:
+            w = np.array([math.comb(n, int(k)) for k in ks], dtype=np.float64)
+            k_counts[idx] = g.choice(ks, size=idx.size, p=w / w.sum())
 
     # a uniformly random subset of k_j studies per column, via uniform ranks
     u = g.random((n, m))
@@ -267,8 +264,8 @@ def sample_pvalues(truth: TruthAssignment, scenario: SimScenario, rep: int) -> P
 
 
 def _run_chunk(
-    scenario: SimScenario, procedures: tuple[Procedure, ...], reps: list[int]
-) -> tuple[list[int], NDArray, NDArray, NDArray, NDArray]:
+    scenario: SimScenario, procedures: tuple[Procedure, ...], reps: range
+) -> tuple[NDArray, NDArray, NDArray, NDArray]:
     """Worker: V, R, TP per procedure and the non-null PC count, per replication."""
     n_proc = len(procedures)
     v = np.zeros((len(reps), n_proc), dtype=np.int64)
@@ -285,7 +282,7 @@ def _run_chunk(
             v[row, col] = int(np.count_nonzero(rejected & ~pc_nonnull))
             rr[row, col] = int(np.count_nonzero(rejected))
             tp[row, col] = int(np.count_nonzero(rejected & pc_nonnull))
-    return reps, v, rr, tp, npc
+    return v, rr, tp, npc
 
 
 def run_panel(
@@ -296,34 +293,26 @@ def run_panel(
     """Run every procedure on B replications and summarize the error metrics.
 
     Replications are split into contiguous chunks executed by worker
-    processes when threads > 1. Per-replication statistics land in arrays
-    indexed by replication, so the report is bit-identical for any thread
-    count.
+    processes when threads > 1. The chunks' per-replication statistics are
+    joined in replication order, so the report is bit-identical for any
+    thread count.
     """
     procedures = tuple(procedures)
     if not procedures:
         raise ValidationError("at least one procedure is required")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     b = scenario.replications
-    n_proc = len(procedures)
-    v = np.zeros((b, n_proc), dtype=np.int64)
-    rr = np.zeros((b, n_proc), dtype=np.int64)
-    tp = np.zeros((b, n_proc), dtype=np.int64)
-    npc = np.zeros(b, dtype=np.int64)
-
-    n_chunks = min(max(1, int(threads)), b)
+    n_chunks = min(int(threads), b)
     bounds = np.linspace(0, b, n_chunks + 1).astype(int)
-    chunks = [list(range(bounds[i], bounds[i + 1])) for i in range(n_chunks)]
+    chunks = [range(bounds[i], bounds[i + 1]) for i in range(n_chunks)]
     if n_chunks == 1:
         results = [_run_chunk(scenario, procedures, chunks[0])]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_chunks) as pool:
             futures = [pool.submit(_run_chunk, scenario, procedures, ch) for ch in chunks]
             results = [fut.result() for fut in futures]
-    for reps, cv, cr, ctp, cnpc in results:
-        v[reps] = cv
-        rr[reps] = cr
-        tp[reps] = ctp
-        npc[reps] = cnpc
+    v, rr, tp, npc = (np.concatenate(parts) for parts in zip(*results))
 
     pfer = v.astype(np.float64)
     fdr = v / np.maximum(rr, 1)
@@ -334,7 +323,7 @@ def run_panel(
         if b > 1:
             half = 1.96 * per_rep.std(axis=0, ddof=1) / math.sqrt(b)
         else:
-            half = np.full(n_proc, np.nan)
+            half = np.full(len(procedures), np.nan)
         return means, half
 
     pfer_m, pfer_h = mean_ci(pfer)
@@ -467,14 +456,20 @@ def atomic_output(path: str | os.PathLike) -> Iterator:
     The text goes to a temporary file beside the destination, renamed over it
     on success and deleted on any exception, so a failed run leaves a previous
     file untouched. New files get the mode a plain open() gives, replaced files
-    keep theirs, and a symlink's target is replaced. A destination that exists
-    but is not a regular file (/dev/stdout, a FIFO) is written directly.
+    keep theirs, and a symlink's target is replaced. The process's own stdout,
+    also when redirected to a file, is written through its descriptor so that
+    later prints follow the table; other non-regular files (a FIFO) directly.
     """
     try:
-        mode = os.stat(path).st_mode
+        st = os.stat(path)
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+        st = None
+    if st is not None and _is_stdout(st):
+        sys.stdout.flush()
+        with open(sys.stdout.fileno(), "w", encoding="utf-8", newline="", closefd=False) as fh:
+            yield fh
+        return
+    if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
@@ -485,12 +480,20 @@ def atomic_output(path: str | os.PathLike) -> Iterator:
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _is_stdout(st: os.stat_result) -> bool:
+    """Whether st is the file behind sys.stdout; a stdout without a descriptor is not."""
+    try:
+        return os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):
+        return False
 
 
 def write_columns(fh, columns: Mapping[str, Sequence[str]]) -> None:
@@ -523,3 +526,11 @@ def write_metrics_tsv(reports: list[MetricsReport], fh) -> None:
     for name in _PROCEDURE_COLUMNS:
         columns[name] = [_cell(getattr(pm, name)) for _, pm in rows]
     write_columns(fh, columns)
+
+
+def write_curves_tsv(table: CurveTable, fh) -> None:
+    """One row per grid point: gamma, v_hat and fdp_hat."""
+    write_columns(fh, {
+        name: list(map(format_float, getattr(table, name).tolist()))
+        for name in ("gamma", "v_hat", "fdp_hat")
+    })

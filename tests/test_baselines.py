@@ -200,6 +200,29 @@ class TestRunProcedure:
                 assert got.method is proc.kind is want.method
                 assert helpers.results_equal(got, want)
 
+    def test_every_decision_is_one_cutoff_on_one_statistic(self):
+        # adaptive procedures cut S_j at gamma0, direct ones the PC p-value
+        rng = np.random.default_rng(31)
+        done = 0
+        while done < 100:
+            inst = helpers.random_matrix(rng, max_m=30)
+            if inst is None:
+                continue
+            mat, r = inst
+            done += 1
+            alpha = helpers.random_alpha(rng)
+            testable = mat.n_per_hyp >= r
+            for proc in af.default_panel_procedures(alpha, alpha):
+                res = af.run_procedure(mat, r, proc)
+                if proc.combiner is None:
+                    stat = af.compute_filter_select(mat, r).select_p
+                else:
+                    stat = mat.pc_pvalues(r, proc.combiner)
+                assert np.array_equal(res.rejected, testable & (stat <= res.gamma0))
+                assert np.array_equal(res.untestable, mat.n_per_hyp < r)
+                for arr in (res.rejected, res.untestable, res.adjusted):
+                    assert arr is None or not arr.flags.writeable
+
     def test_names_follow_kind_and_combiner(self):
         assert af.Procedure(af.ProcedureKind.ADAFILTER_BH, 0.1).name == "adafilter-bh"
         proc = af.Procedure(af.ProcedureKind.DIRECT_BH, 0.1, af.PCCombinerKind.FISHER)

@@ -401,6 +401,42 @@ class TestMainEntry:
         assert "rejections = 1" in proc.stdout
         assert list(tmp_path.iterdir()) == [tmp_path / "in.csv"]
 
+    def test_output_to_stdout_redirected_to_file(self, tmp_path):
+        # the table goes through stdout's own descriptor, so the summary
+        # printed after it lands in the same file, below it
+        out = tmp_path / "out.txt"
+        with open(out, "w") as fh:
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "adafilter.cli",
+                    "test",
+                    "--input",
+                    write(tmp_path, "in.csv", TOY_CSV),
+                    "--output",
+                    "/dev/stdout",
+                    "--method",
+                    "adafilter-bh",
+                    "--r",
+                    "2",
+                ],
+                stdout=fh,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": str(pathlib.Path(af.__file__).parents[1])},
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == (
+            "id\tfilter_p\tselect_p\trejected\tuntestable\n"
+            "g1\t0.03\t0.04\t1\t0\n"
+            "g2\t0.2\t0.9\t0\t0\n"
+            "gamma0 = 0.05\n"
+            "rejections = 1\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "in.csv", out]
+
     def test_direct_without_combiner_fails_cleanly(self, tmp_path, capsys):
         code = main(
             [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import adafilter as af
+from adafilter import procedures
 from adafilter.errors import (
     NoTestableHypotheses,
     OracleSizeExceeded,
@@ -33,13 +34,7 @@ def stats_from_fs(filter_p, select_p) -> af.FilterSelectStats:
     f = np.asarray(filter_p, dtype=np.float64)
     s = np.asarray(select_p, dtype=np.float64)
     testable = ~np.isnan(s)
-    return af.FilterSelectStats(
-        filter_p=f,
-        select_p=s,
-        n_per_hyp=np.where(testable, 2, 1).astype(np.int64),
-        r=2,
-        testable=testable,
-    )
+    return af.FilterSelectStats(filter_p=f, select_p=s, testable=testable)
 
 
 # two 2-study fixtures: the second is entrywise <= the first, yet only the
@@ -65,8 +60,9 @@ class TestComputeFilterSelect:
         assert stats.testable[1]
 
     def test_missing_entry_changes_multiplier(self):
-        stats = stats_from([[0.1], [0.2], [0.3], [NAN]])
-        assert stats.n_per_hyp[0] == 3
+        matrix = af.validate_matrix([[0.1], [0.2], [0.3], [NAN]])
+        stats = af.compute_filter_select(matrix, 2)
+        assert matrix.n_per_hyp[0] == 3
         assert stats.filter_p[0] == 2 * 0.1
         assert stats.select_p[0] == 2 * 0.2
 
@@ -223,6 +219,25 @@ class TestAdaptiveBH:
                     assert redo.rejected[j]
                 if not full.rejected[j]:
                     assert adj == 1.0
+
+    def test_adjusted_searches_alpha_one_once(self, monkeypatch):
+        # one search at alpha, one at alpha = 1, then 60 bisection steps for
+        # each hypothesis alpha = 1 rejects; none for the others
+        rng = np.random.default_rng(41)
+        stats = af.compute_filter_select(af.validate_matrix(rng.random((3, 60)) ** 3), 2)
+        r_one = af.adafilter_bh(stats, 1.0).n_rejected
+        assert 0 < r_one < stats.n_testable
+        levels = []
+        real = procedures._bh_threshold
+
+        def counted(fs, ss, m_t, alpha):
+            levels.append(alpha)
+            return real(fs, ss, m_t, alpha)
+
+        monkeypatch.setattr(procedures, "_bh_threshold", counted)
+        af.adafilter_bh(stats, 0.1, compute_adjusted=True)
+        assert len(levels) == 2 + 60 * r_one
+        assert levels.count(1.0) == 1
 
     def test_single_hypothesis_adjusted_is_its_pvalue(self):
         stats = stats_from_fs([0.37], [0.37])

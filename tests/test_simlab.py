@@ -284,6 +284,11 @@ class TestRunPanel:
         assert pooled == af.run_panel(sc, af.default_panel_procedures(), threads=1)
         assert sizes == [3]
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValidationError, match=f"threads must be >= 1, got {threads}"):
+            af.run_panel(scenario(M=200, block_size=10), af.default_panel_procedures(), threads)
+
     def test_combiner_ordering_on_shared_draws(self):
         # Fisher pools the whole tail, Bonferroni only its smallest member;
         # on identical draws Fisher finds at least as much
