@@ -22,9 +22,9 @@ from .procedures import (
     ProcedureKind,
     _check_alpha,
     _decision,
+    _filter_select,
     adafilter_bh,
     adafilter_bonferroni,
-    compute_filter_select,
 )
 
 __all__ = [
@@ -57,9 +57,9 @@ class DirectProcedureSpec:
 def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResult:
     """Run one procedure on a p-value matrix at replicability level r."""
     if proc.kind is ProcedureKind.ADAFILTER_BONFERRONI:
-        return adafilter_bonferroni(compute_filter_select(matrix, r), proc.alpha)
+        return adafilter_bonferroni(_filter_select(matrix, r), proc.alpha)
     if proc.kind is ProcedureKind.ADAFILTER_BH:
-        return adafilter_bh(compute_filter_select(matrix, r), proc.alpha)
+        return adafilter_bh(_filter_select(matrix, r), proc.alpha)
     if proc.kind is ProcedureKind.DIRECT_BONFERRONI:
         adjustment = AdjustmentKind.BONFERRONI
     else:

@@ -13,6 +13,7 @@ import csv
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .pc_core import PCCombinerKind, PValueMatrix, validate_matrix
-from .procedures import Procedure, ProcedureKind, compute_filter_select, curves
+from .procedures import Procedure, ProcedureKind, _filter_select, compute_filter_select, curves
 from .simlab import (
     atomic_output,
     default_panel_procedures,
@@ -43,6 +44,7 @@ from .simlab import (
 __all__ = ["ingest_csv", "cmd_test", "cmd_simulate", "cmd_curve", "main"]
 
 _MISSING_TOKEN = "NA"
+_CHUNK_CHARS = 1 << 20  # characters of whole lines per bulk read
 
 
 def ingest_csv(path: str) -> PValueMatrix:
@@ -50,52 +52,126 @@ def ingest_csv(path: str) -> PValueMatrix:
 
     The first column holds hypothesis identifiers; remaining cells are
     decimal p-values or the literal token NA for missing. File rows become
-    columns of the internal study-by-hypothesis matrix.
+    columns of the internal study-by-hypothesis matrix. A file the bulk pass
+    cannot vouch for (quoted cells, CR line endings, any bad cell) is read
+    again cell by cell, which gives the same matrix or the error naming the
+    offending line.
     """
+    matrix = _ingest_bulk(path)
+    return _ingest_per_cell(path) if matrix is None else matrix
+
+
+def _ingest_bulk(path: str) -> PValueMatrix | None:
+    """The matrix through np.loadtxt, one chunk of lines at a time, or None.
+
+    Each chunk's ids are split off and its NA cells become nan before
+    loadtxt parses it. The result is returned only when it must equal the
+    per-cell reader's:
+    - no quote, CR or NUL character and no line longer than the csv field
+      limit, so every line splits on its commas as csv.reader splits it;
+    - every row has as many cells as the header;
+    - there is one NaN per NA cell and no other, so a literal nan never
+      passes as missing;
+    - every other value lies in [0, 1], the ids are unique, and loadtxt gave
+      no warning (it warns on a chunk without data rows).
+    """
+    limit = csv.field_size_limit()
+
+    def plain(text: str, lines: list[str]) -> bool:
+        return not ('"' in text or "\r" in text or "\0" in text) and max(map(len, lines)) <= limit
+
+    ids: list[str] = []
+    blocks: list[NDArray] = []
+    missing = commas = 0
+    with open_input(path, newline="") as fh, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        header = next((line for line in fh if line != "\n"), "")
+        n_studies = header.count(",")
+        if n_studies == 0 or not plain(header, [header]):
+            return None
+        try:
+            for lines in iter(lambda: fh.readlines(_CHUNK_CHARS), []):
+                text = "".join(lines)
+                if not plain(text, lines):
+                    return None
+                ids += [line.partition(",")[0] for line in lines if line != "\n"]
+                # a cell that starts with NA parses only if the rest is whitespace,
+                # which the per-cell reader strips as well
+                rewritten = text.replace(",NA", ",nan")
+                missing += len(rewritten) - len(text)
+                commas += text.count(",")
+                blocks.append(np.loadtxt(
+                    rewritten.split("\n"), delimiter=",", comments=None,
+                    usecols=range(1, n_studies + 1), ndmin=2,
+                ))
+        except ValueError:  # a bad cell or byte: the per-cell reader finds and names it
+            return None
+    m = len(ids)
+    # usecols ignores surplus cells, so the comma count checks every row's width
+    if caught or m == 0 or commas != m * n_studies:
+        return None
+    values = np.concatenate(blocks)
+    n_nan = int(np.count_nonzero(np.isnan(values)))
+    in_range = int(np.count_nonzero((values >= 0.0) & (values <= 1.0)))
+    if (values.shape != (m, n_studies) or n_nan != missing or in_range + n_nan != values.size
+            or len(set(ids)) != m):
+        return None
+    return validate_matrix(values.T, ids=ids)
+
+
+def _ingest_per_cell(path: str) -> PValueMatrix:
+    """ingest_csv through csv.reader and float(), one cell at a time."""
     ids: dict[str, None] = {}  # ids in file order, as dict keys for the duplicate check
     rows: list[list[float]] = []
     n_studies: int | None = None
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            if n_studies is None:
-                if len(record) < 2:
-                    raise ParseError("header needs an id column and at least one study", lineno)
-                n_studies = len(record) - 1
-                continue
-            if len(record) != n_studies + 1:
-                raise ParseError(
-                    f"expected {n_studies + 1} cells, got {len(record)}", lineno
-                )
-            if record[0] in ids:
-                raise DuplicateIdentifier(record[0], lineno)
-            ids[record[0]] = None
-            parsed: list[float] = []
-            for col, token in enumerate(record[1:], start=1):
-                token = token.strip()
-                if token == _MISSING_TOKEN:
-                    parsed.append(math.nan)
+        try:
+            for lineno, record in enumerate(reader, start=1):
+                if not record:
                     continue
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise ParseError(f"bad p-value token {token!r} in column {col + 1}", lineno) from None
-                if math.isnan(value):
+                if n_studies is None:
+                    if len(record) < 2:
+                        raise ParseError("header needs an id column and at least one study", lineno)
+                    n_studies = len(record) - 1
+                    continue
+                if len(record) != n_studies + 1:
                     raise ParseError(
-                        f"bad p-value token {token!r} in column {col + 1}; "
-                        f"write {_MISSING_TOKEN} for a missing entry",
-                        lineno,
+                        f"expected {n_studies + 1} cells, got {len(record)}", lineno
                     )
-                if not (0.0 <= value <= 1.0):
-                    raise OutOfRangeEntry(len(ids), col, value)
-                parsed.append(value)
-            rows.append(parsed)
+                if record[0] in ids:
+                    raise DuplicateIdentifier(record[0], lineno)
+                ids[record[0]] = None
+                rows.append(_parse_cells(record, lineno, len(ids)))
+        except csv.Error as exc:
+            raise ParseError(str(exc), reader.line_num) from None
     if n_studies is None or not rows:
         raise ParseError("no data rows found")
     # file rows are hypotheses; the internal layout is studies x hypotheses
     return validate_matrix(np.array(rows, dtype=np.float64).T, ids=ids)
+
+
+def _parse_cells(record: list[str], lineno: int, row: int) -> list[float]:
+    parsed: list[float] = []
+    for col, token in enumerate(record[1:], start=1):
+        token = token.strip()
+        if token == _MISSING_TOKEN:
+            parsed.append(math.nan)
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"bad p-value token {token!r} in column {col + 1}", lineno) from None
+        if math.isnan(value):
+            raise ParseError(
+                f"bad p-value token {token!r} in column {col + 1}; "
+                f"write {_MISSING_TOKEN} for a missing entry",
+                lineno,
+            )
+        if not (0.0 <= value <= 1.0):
+            raise OutOfRangeEntry(row, col, value)
+        parsed.append(value)
+    return parsed
 
 
 def _capped(values: NDArray) -> list[str]:
@@ -114,7 +190,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     proc = Procedure(ProcedureKind(args.method), alpha, combiner)
 
     matrix = ingest_csv(args.input)
-    stats = compute_filter_select(matrix, args.r)
+    stats = _filter_select(matrix, args.r)
     result = run_procedure(matrix, args.r, proc)
 
     columns = {

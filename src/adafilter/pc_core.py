@@ -49,13 +49,14 @@ class PValueMatrix:
     """Validated n_studies x n_hypotheses grid of p-values, NaN = missing.
 
     The per-column order statistics every procedure reads are computed once
-    and memoised: n_per_hyp, sorted_values and pc_pvalues(r, kind). All are
-    read-only, and values must not change after construction.
+    and memoised: n_per_hyp, sorted_values and pc_pvalues(r, kind), and, in
+    the same store, the F/S statistics per r (procedures._filter_select).
+    All are read-only, and values must not change after construction.
     """
 
     values: NDArray[np.float64]
     ids: tuple[str, ...] | None = None
-    _pc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_studies(self) -> int:
@@ -84,12 +85,12 @@ class PValueMatrix:
 
     def pc_pvalues(self, r: int, kind: PCCombinerKind) -> NDArray[np.float64]:
         """PC p-value of every column at level r; NaN where n_j < r."""
-        key = (r, kind)
-        if key not in self._pc_cache:
-            self._pc_cache[key] = _read_only(
+        key = ("pc", r, kind)
+        if key not in self._memo:
+            self._memo[key] = _read_only(
                 _pc_pvalues_from_sorted(self.sorted_values, self.n_per_hyp, r, kind)
             )
-        return self._pc_cache[key]
+        return self._memo[key]
 
 
 def _read_only(arr: NDArray) -> NDArray:

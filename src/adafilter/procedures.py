@@ -156,6 +156,14 @@ def compute_filter_select(matrix: PValueMatrix, r: int) -> FilterSelectStats:
     return FilterSelectStats(_read_only(filter_p), _read_only(select_p), testable)
 
 
+def _filter_select(matrix: PValueMatrix, r: int) -> FilterSelectStats:
+    """compute_filter_select, computed once per matrix and r and memoised on the matrix."""
+    key = ("filter_select", r)
+    if key not in matrix._memo:
+        matrix._memo[key] = compute_filter_select(matrix, r)
+    return matrix._memo[key]
+
+
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not (0.0 < alpha <= 1.0):

@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import erfc, ndtr, ndtri
 
 from .errors import NoConvergence, ParseError, ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix
@@ -164,6 +163,9 @@ def calibrate_mu(power: float, calibration_alpha: float) -> float:
     Solves ndtr(-z - mu) + ndtr(mu - z) = power with z the upper
     calibration_alpha/2 normal quantile, by bisection to |delta power| <= 1e-10.
     """
+    # scipy is imported by the lab alone, so that test and curve start without it
+    from scipy.special import ndtr, ndtri
+
     if not (0.0 < power < 1.0):
         raise ValidationError(f"power must be in (0, 1), got {power}")
     if not (0.0 < calibration_alpha < 1.0):
@@ -241,6 +243,8 @@ def sample_pvalues(truth: TruthAssignment, scenario: SimScenario, rep: int) -> P
     non-null (i, j) gets a mean drawn uniformly from the eight values
     +-mu_1..mu_4; p = 2 * Phi(-|Z|).
     """
+    from scipy.special import erfc
+
     n, m, b = scenario.n, scenario.M, scenario.block_size
     mus = np.array(
         _calibrated_mus(tuple(scenario.power_targets), scenario.effective_calibration_alpha)
@@ -303,6 +307,9 @@ def run_panel(
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     b = scenario.replications
+    # calibrate here, so that forked workers inherit scipy and the cached means
+    # instead of each importing and calibrating on its own
+    _calibrated_mus(tuple(scenario.power_targets), scenario.effective_calibration_alpha)
     n_chunks = min(int(threads), b)
     bounds = np.linspace(0, b, n_chunks + 1).astype(int)
     chunks = [range(bounds[i], bounds[i + 1]) for i in range(n_chunks)]
@@ -504,9 +511,7 @@ def write_columns(fh, columns: Mapping[str, Sequence[str]]) -> None:
 
 def format_float(x: float) -> str:
     """TSV float formatting: 12 significant digits, NaN as NA."""
-    if isinstance(x, float) and math.isnan(x):
-        return "NA"
-    return format(float(x), ".12g")
+    return "NA" if x != x else "%.12g" % x
 
 
 _SCENARIO_COLUMNS = ("M", "n", "r", "pi0", "pi_rn", "rho", "block_size", "replications", "master_seed")

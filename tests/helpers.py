@@ -108,3 +108,13 @@ def adafilter_bonferroni_twostep(stats: af.FilterSelectStats, alpha: float) -> a
         untestable=~stats.testable,
         adjusted=np.minimum(1.0, stats.select_p * m),
     )
+
+
+def read_outcome(read, path: str):
+    """What a CSV reader makes of a file: the matrix's value bits, shape and ids,
+    or the type and message of the exception it raised."""
+    try:
+        matrix = read(path)
+    except Exception as exc:  # every exception is compared, not only the expected ones
+        return type(exc), str(exc)
+    return matrix.values.tobytes(), matrix.values.shape, matrix.ids

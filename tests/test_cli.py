@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import adafilter as af
-from adafilter.cli import cmd_curve, cmd_test, ingest_csv, main
+from adafilter.cli import _ingest_per_cell, cmd_curve, cmd_test, ingest_csv, main
 from adafilter.errors import (
     DuplicateIdentifier,
     OutOfRangeEntry,
     ParseError,
     ValidationError,
 )
+from helpers import read_outcome
 
 TOY_CSV = "id,s1,s2\ng1,0.03,0.04\ng2,0.2,0.9\n"
 
@@ -99,6 +100,33 @@ class TestIngestCsv:
         mat = ingest_csv(write(tmp_path, "m.csv", "\nid,s1\ng1,0.5\n"))
         assert mat.ids == ("g1",)
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_quoted_cells_and_cr_line_endings(self, tmp_path, end):
+        text = end.join(['"id","s1","s2"', '"g,1",0.1,"NA"', 'g2," 0.5",0.25']) + end
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        mat = ingest_csv(str(path))
+        assert mat.ids == ("g,1", "g2")
+        np.testing.assert_array_equal(mat.values, [[0.1, 0.5], [np.nan, 0.25]])
+
+    @pytest.mark.parametrize("cell", [
+        "NA", "NA ", " NA", "NA\t", "NA\x0c", "\xa0NA", "-NA", "+NA", "NAN", "NaN", "nan ", "-nan",
+        "NA(1)", "0.5 ", "\u20020.5", "0.5\x1c", "0.1_5", "\uff10.5", "0x1p-2", "1e999", "1e-400",
+        "5e-324", "-0", "+.5", "5.", "1e", "", "0.5\x00",
+    ])
+    def test_bulk_reader_agrees_with_per_cell_reader(self, tmp_path, cell):
+        path = write(tmp_path, "m.csv", f"id,s1,s2\ng1,0.5,{cell}\ng2,{cell},0.25\n")
+        assert read_outcome(ingest_csv, path) == read_outcome(_ingest_per_cell, path)
+
+    def test_bad_cell_reported_before_a_later_undecodable_byte(self, tmp_path):
+        # the bulk reader decodes far ahead of the line it parses; the error
+        # must still be the first one the per-cell reader meets
+        rows = "".join(f"g{j},0.5\n" for j in range(2, 5000))
+        path = tmp_path / "m.csv"
+        path.write_bytes(f"id,s1\ng1,abc\n{rows}".encode() + b"g9,0.\xff\n")
+        with pytest.raises(ParseError, match="^line 2: bad p-value token 'abc'"):
+            ingest_csv(str(path))
+
 
 class TestCmdTest:
     def run(self, tmp_path, csv_text, **kwargs):
@@ -161,6 +189,22 @@ class TestCmdTest:
             r=2,
         )
         assert "rejections = 0" in capsys.readouterr().out
+
+    def test_filter_select_computed_once(self, tmp_path, monkeypatch):
+        original = af.procedures.compute_filter_select
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "adafilter":
+                for key, held in list(vars(module).items()):
+                    if held is original:
+                        monkeypatch.setattr(module, key, counting)
+        self.run(tmp_path, TOY_CSV, method="adafilter-bh", r=2)
+        assert calls == [2]
 
     def test_combiner_flag_pairing(self, tmp_path):
         out = str(tmp_path / "o.tsv")
@@ -369,6 +413,66 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: line 3: byte 0xff in column 6 is not UTF-8"]
         assert not (tmp_path / "o.tsv").exists()
+
+    def test_csv_error_fails_cleanly(self, tmp_path, capsys):
+        # csv.reader's own errors (here its field-size limit) end like any bad input
+        text = "id,s1\ng1,0.5\n" + "g" * 200_000 + ",0.5\n"
+        out = tmp_path / "o.tsv"
+        code = main(
+            [
+                "test",
+                "--input",
+                write(tmp_path, "in.csv", text),
+                "--output",
+                str(out),
+                "--method",
+                "adafilter-bh",
+                "--r",
+                "2",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 3: field larger than field limit (131072)"]
+        assert not out.exists()
+
+    def test_scipy_loaded_only_by_the_lab(self):
+        # test and curve call no scipy function, so the CLI starts without it;
+        # a panel on an inline pool has it (and the calibrated means) before
+        # the first chunk is submitted, so that forked workers inherit both
+        script = """
+import concurrent.futures, json, sys
+import adafilter.cli
+before = "scipy.special" in sys.modules
+
+class InlinePool:
+    submitted = []
+    def __init__(self, max_workers):
+        pass
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def submit(self, fn, *args):
+        InlinePool.submitted.append("scipy.special" in sys.modules)
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+concurrent.futures.ProcessPoolExecutor = InlinePool
+import adafilter as af
+sc = af.SimScenario(M=100, n=2, r=2, pi0=0.9, pi_rn=0.05, rho=0.0, block_size=10,
+                    replications=2, master_seed=1)
+af.run_panel(sc, af.default_panel_procedures(), threads=2)
+print(json.dumps([before, InlinePool.submitted]))
+"""
+        src = pathlib.Path(af.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[false, [true, true]]"
 
     def test_output_to_stdout_pipe(self, tmp_path):
         # /dev/stdout is a pipe here: it is written directly, not replaced

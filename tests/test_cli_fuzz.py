@@ -4,7 +4,8 @@ Random CSV bytes (for `test` and `curve`) and random scenario text (for
 `simulate`) must end in exit 0 with the output written, or in exit 1 with
 exactly one `error:` line on stderr and no output file; never in an
 exception escaping `main`. Scenarios stay small (M * n * replications
-<= 1500) and run with one thread, so no worker process starts.
+<= 1500) and run with one thread, so no worker process starts. On the same
+CSV bytes, the bulk CSV reader must agree with the per-cell one.
 """
 
 import contextlib
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adafilter.cli import main
+from adafilter.cli import _ingest_per_cell, ingest_csv, main
+from helpers import read_outcome
 
 FUZZ = settings(
     max_examples=80,
@@ -172,6 +174,15 @@ def test_curve_command(case, alpha):
     argv = ["curve", "--r", str(r)]
     argv += [] if alpha is None else ["--alpha", alpha]
     run_cli(argv, "--input", data)
+
+
+@settings(FUZZ, max_examples=300)
+@given(case=csv_case())
+def test_bulk_and_per_cell_readers_agree(case, tmp_path):
+    path = os.path.join(tmp_path, "input.csv")
+    with open(path, "wb") as fh:
+        fh.write(case[0])
+    assert read_outcome(ingest_csv, path) == read_outcome(_ingest_per_cell, path)
 
 
 @settings(FUZZ, max_examples=40)

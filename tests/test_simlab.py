@@ -14,6 +14,7 @@ from scipy.special import erfc
 
 import adafilter as af
 from adafilter.errors import NoConvergence, ParseError, ValidationError
+from adafilter import simlab
 from adafilter.simlab import _stream, atomic_output, format_float, write_columns
 
 
@@ -284,6 +285,36 @@ class TestRunPanel:
         assert pooled == af.run_panel(sc, af.default_panel_procedures(), threads=1)
         assert sizes == [3]
 
+    def test_means_calibrated_before_the_pool_starts(self, monkeypatch):
+        # forked workers inherit the parent's calibration cache, so the first
+        # submitted chunk must find the scenario's means already there
+        sc = scenario(M=200, block_size=10, replications=3, master_seed=77)
+        key = (tuple(sc.power_targets), sc.effective_calibration_alpha)
+        hits = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                before = simlab._calibrated_mus.cache_info()
+                simlab._calibrated_mus(*key)
+                hits.append(simlab._calibrated_mus.cache_info().hits - before.hits)
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        simlab._calibrated_mus.cache_clear()
+        af.run_panel(sc, af.default_panel_procedures(), threads=2)
+        assert hits == [1, 1]
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValidationError, match=f"threads must be >= 1, got {threads}"):
@@ -437,6 +468,23 @@ class TestMetricsTsv:
         assert format_float(float("nan")) == "NA"
         assert format_float(0.5) == "0.5"
         assert format_float(1 / 3) == "0.333333333333"
+
+    def test_format_float_matches_format_spec(self):
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**63, size=410_000, dtype=np.int64).view(np.float64)
+        bits = bits[~np.isnan(bits)]  # every non-negative double, subnormals and inf included
+        values = np.concatenate([
+            rng.random(300_000),
+            rng.random(100_000) ** 12,
+            np.round(rng.random(100_000), 3),
+            bits,
+            -bits[:100_000],
+            [5e-324, 2.2250738585072014e-308, 1e-310, 0.0, -0.0, 1.0, np.inf, -np.inf],
+        ])
+        assert values.size > 1_000_000
+        xs = values.tolist()
+        assert list(map(format_float, xs)) == [format(float(x), ".12g") for x in xs]
+        assert format_float(float("nan")) == format_float(-float("nan")) == "NA"
 
     def test_report_rows(self):
         sc = scenario(M=300, replications=2)
