@@ -20,7 +20,7 @@ from adafilter import (
     run_panel,
     write_metrics_tsv,
 )
-from adafilter.simlab import atomic_output
+from adafilter.tables import atomic_output
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SCENARIOS = REPO_ROOT / "scenarios" / "default_panel.scenario"

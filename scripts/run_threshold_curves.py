@@ -24,7 +24,7 @@ from adafilter import (
     curves,
     validate_matrix,
 )
-from adafilter.simlab import atomic_output, format_float, write_curves_tsv
+from adafilter.tables import atomic_output, format_float, write_curves_tsv
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:

@@ -27,10 +27,8 @@ from .errors import (
 
 __all__ = [
     "PValueMatrix",
-    "SortedColumn",
     "PCCombinerKind",
     "validate_matrix",
-    "sort_column",
     "pc_pvalue",
     "chi_square_sf",
 ]
@@ -98,15 +96,6 @@ def _read_only(arr: NDArray) -> NDArray:
     return arr
 
 
-@dataclass(frozen=True)
-class SortedColumn:
-    """Observed p-values of one hypothesis column, sorted ascending."""
-
-    hypothesis_index: int
-    sorted_p: NDArray[np.float64]
-    n_j: int
-
-
 def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     """Build a PValueMatrix from any 2-d array-like of floats.
 
@@ -150,12 +139,6 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     return PValueMatrix(values=arr, ids=id_tuple)
 
 
-def sort_column(matrix: PValueMatrix, j: int) -> SortedColumn:
-    """Sorted observed p-values of column j (0-based index)."""
-    n_j = int(matrix.n_per_hyp[j])
-    return SortedColumn(hypothesis_index=j, sorted_p=matrix.sorted_values[:n_j, j], n_j=n_j)
-
-
 def chi_square_sf(x: float, df: int) -> float:
     """Chi-square survival function for positive even df.
 
@@ -187,17 +170,16 @@ def _chi_square_sf_even(x: NDArray[np.float64], df: int) -> NDArray[np.float64]:
     return np.minimum(out, 1.0)
 
 
-def pc_pvalue(sorted_col: SortedColumn, r: int, kind: PCCombinerKind) -> float:
-    """PC p-value of one hypothesis column at replicability level r.
+def pc_pvalue(column: object, r: int, kind: PCCombinerKind) -> float:
+    """PC p-value of one hypothesis at replicability level r.
 
+    `column` holds the hypothesis's p-values, one per study, NaN = missing.
     All three combiners act on the largest n_j - r + 1 observed p-values.
     The result is capped at 1. Requires 2 <= r <= n_j.
     """
-    n_j = sorted_col.n_j
-    if r < 2 or r > n_j:
-        raise ReplicabilityLevelOutOfRange(r, n_j)
-    sv = sorted_col.sorted_p[:, None]
-    return float(_pc_pvalues_from_sorted(sv, np.array([n_j]), r, kind)[0])
+    matrix = validate_matrix(np.reshape(column, (-1, 1)))
+    matrix.testable(r)
+    return float(matrix.pc_pvalues(r, kind)[0])
 
 
 def _column_sorted(values: NDArray[np.float64]) -> NDArray[np.float64]:

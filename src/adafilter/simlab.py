@@ -15,12 +15,7 @@ independent and results do not depend on how work is scheduled.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import math
-import os
-import stat
-import sys
-from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -29,8 +24,9 @@ from numpy.typing import NDArray
 
 from .errors import NoConvergence, ParseError, ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix
-from .procedures import CurveTable, Procedure, ProcedureKind
+from .procedures import Procedure, ProcedureKind
 from .baselines import run_procedure
+from .tables import open_input
 
 __all__ = [
     "SimScenario",
@@ -43,12 +39,6 @@ __all__ = [
     "sample_pvalues",
     "run_panel",
     "load_scenarios",
-    "write_metrics_tsv",
-    "write_curves_tsv",
-    "format_float",
-    "write_columns",
-    "atomic_output",
-    "open_input",
 ]
 
 
@@ -431,111 +421,3 @@ def load_scenarios(path: str) -> list[SimScenario]:
                     SimScenario(n=n_val, r=r_val, pi0=pi0_val, block_size=b_val, **fixed)
                 )
     return scenarios
-
-
-@contextlib.contextmanager
-def open_input(path: str, newline: str | None = None) -> Iterator:
-    """Open a UTF-8 text input; an undecodable byte becomes a ParseError naming its line."""
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            yield fh
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
-def _not_utf8(path: str) -> ParseError:
-    # the text layer decodes ahead in chunks, so a second pass finds the line
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(
-                    f"byte {line[exc.start]:#04x} in column {exc.start + 1} is not UTF-8", lineno
-                )
-    return ParseError("input is not UTF-8")
-
-
-@contextlib.contextmanager
-def atomic_output(path: str | os.PathLike) -> Iterator:
-    """Open an output table for writing (UTF-8, LF); it replaces `path` only on success.
-
-    The text goes to a temporary file beside the destination, renamed over it
-    on success and deleted on any exception, so a failed run leaves a previous
-    file untouched. New files get the mode a plain open() gives, replaced files
-    keep theirs, and a symlink's target is replaced. The process's own stdout,
-    also when redirected to a file, is written through its descriptor so that
-    later prints follow the table; other non-regular files (a FIFO) directly.
-    """
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        st = None
-    if st is not None and _is_stdout(st):
-        sys.stdout.flush()
-        with open(sys.stdout.fileno(), "w", encoding="utf-8", newline="", closefd=False) as fh:
-            yield fh
-        return
-    if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        return
-    target = os.path.realpath(path)
-    head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        if st is not None:
-            os.chmod(tmp, stat.S_IMODE(st.st_mode))
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _is_stdout(st: os.stat_result) -> bool:
-    """Whether st is the file behind sys.stdout; a stdout without a descriptor is not."""
-    try:
-        return os.path.samestat(st, os.fstat(sys.stdout.fileno()))
-    except (AttributeError, OSError, ValueError):
-        return False
-
-
-def write_columns(fh, columns: Mapping[str, Sequence[str]]) -> None:
-    """Write a TSV table: the keys as header, then one row per position of the columns."""
-    fh.write("\t".join(columns) + "\n")
-    fh.writelines("\t".join(row) + "\n" for row in zip(*columns.values()))
-
-
-def format_float(x: float) -> str:
-    """TSV float formatting: 12 significant digits, NaN as NA."""
-    return "NA" if x != x else "%.12g" % x
-
-
-_SCENARIO_COLUMNS = ("M", "n", "r", "pi0", "pi_rn", "rho", "block_size", "replications", "master_seed")
-_PROCEDURE_COLUMNS = (
-    "procedure", "alpha", "pfer_mean", "pfer_ci95", "fdr_mean", "fdr_ci95", "recall_mean", "recall_ci95"
-)
-
-
-def _cell(value: object) -> str:
-    return format_float(value) if isinstance(value, float) else str(value)
-
-
-def write_metrics_tsv(reports: list[MetricsReport], fh) -> None:
-    """One row per (scenario, procedure); tab-separated, '.' decimals, LF endings."""
-    rows = [(report.scenario, pm) for report in reports for pm in report.metrics]
-    columns = {name: [_cell(getattr(sc, name)) for sc, _ in rows] for name in _SCENARIO_COLUMNS}
-    for name in _PROCEDURE_COLUMNS:
-        columns[name] = [_cell(getattr(pm, name)) for _, pm in rows]
-    write_columns(fh, columns)
-
-
-def write_curves_tsv(table: CurveTable, fh) -> None:
-    """One row per grid point: gamma, v_hat and fdp_hat."""
-    write_columns(fh, {
-        name: list(map(format_float, getattr(table, name).tolist()))
-        for name in ("gamma", "v_hat", "fdp_hat")
-    })

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 import adafilter as af
-from adafilter.cli import _ingest_per_cell, cmd_curve, cmd_test, ingest_csv, main
+from adafilter import tables
+from adafilter.cli import cmd_curve, cmd_test, main
 from adafilter.errors import (
     DuplicateIdentifier,
     OutOfRangeEntry,
     ParseError,
     ValidationError,
 )
+from adafilter.tables import _ingest_per_cell, ingest_csv
 from helpers import read_outcome
 
 TOY_CSV = "id,s1,s2\ng1,0.03,0.04\ng2,0.2,0.9\n"
@@ -108,6 +110,22 @@ class TestIngestCsv:
         mat = ingest_csv(str(path))
         assert mat.ids == ("g,1", "g2")
         np.testing.assert_array_equal(mat.values, [[0.1, 0.5], [np.nan, 0.25]])
+
+    def test_cr_and_crlf_files_take_the_bulk_path(self, tmp_path, monkeypatch):
+        rows = "".join(f"g{j},{j % 7 / 7:.6f},NA,0.25\n\n" for j in range(3000))
+        lf = write(tmp_path, "lf.csv", "id,s1,s2,s3\n" + rows)
+        want = ingest_csv(lf)
+
+        def per_cell(path):
+            raise AssertionError(f"{path} fell back to the per-cell reader")
+
+        monkeypatch.setattr(tables, "_ingest_per_cell", per_cell)
+        for end in ("\r\n", "\r"):
+            path = tmp_path / "m.csv"
+            path.write_bytes(("id,s1,s2,s3\n" + rows).replace("\n", end).encode())
+            got = ingest_csv(str(path))
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.ids == want.ids
 
     @pytest.mark.parametrize("cell", [
         "NA", "NA ", " NA", "NA\t", "NA\x0c", "\xa0NA", "-NA", "+NA", "NAN", "NaN", "nan ", "-nan",

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adafilter.cli import _ingest_per_cell, ingest_csv, main
+from adafilter.cli import main
+from adafilter.tables import _ingest_per_cell, ingest_csv
 from helpers import read_outcome
 
 FUZZ = settings(

@@ -28,11 +28,6 @@ COMBINERS = (
 )
 
 
-def make_sorted(values) -> af.SortedColumn:
-    mat = af.validate_matrix(np.asarray(values, dtype=float).reshape(-1, 1))
-    return af.sort_column(mat, 0)
-
-
 class TestValidateMatrix:
     def test_accepts_clean_grid(self):
         mat = af.validate_matrix([[0.03, 0.2], [0.04, 0.9]])
@@ -97,7 +92,6 @@ class TestMemoisedOrderStatistics:
         for kind in COMBINERS:
             assert mat.pc_pvalues(2, kind) is mat.pc_pvalues(2, kind)
         af.compute_filter_select(mat, 2)
-        af.sort_column(mat, 1)
         assert len(calls) == 1
         np.testing.assert_array_equal(mat.pc_pvalues(2, af.PCCombinerKind.BONFERRONI), [1.0, 0.3])
         assert math.isnan(mat.pc_pvalues(3, af.PCCombinerKind.SIMES)[1])
@@ -108,31 +102,28 @@ class TestMemoisedOrderStatistics:
 class TestSortColumn:
     def test_drops_missing_and_sorts(self):
         mat = af.validate_matrix(np.array([[0.9], [0.1], [NAN], [0.5]]))
-        col = af.sort_column(mat, 0)
-        assert col.sorted_p.tolist() == [0.1, 0.5, 0.9]
-        assert col.n_j == 3
-        assert col.hypothesis_index == 0
+        np.testing.assert_array_equal(mat.sorted_values[:, 0], [0.1, 0.5, 0.9, NAN])
+        assert mat.n_per_hyp.tolist() == [3]
 
     def test_keeps_ties(self):
-        col = make_sorted([0.2, 0.2])
-        assert col.sorted_p.tolist() == [0.2, 0.2]
+        mat = af.validate_matrix([[0.2], [0.2]])
+        assert mat.sorted_values[:, 0].tolist() == [0.2, 0.2]
 
     def test_single_observed_entry(self):
         mat = af.validate_matrix(np.array([[NAN], [0.7]]))
-        col = af.sort_column(mat, 0)
-        assert col.sorted_p.tolist() == [0.7]
-        assert col.n_j == 1
+        np.testing.assert_array_equal(mat.sorted_values[:, 0], [0.7, NAN])
+        assert mat.n_per_hyp.tolist() == [1]
 
 
 class TestPcPvalue:
     def test_bonferroni_uses_rth_smallest(self):
-        col = make_sorted([0.001, 0.01, 0.5, 0.9])
+        col = [0.001, 0.01, 0.5, 0.9]
         assert af.pc_pvalue(col, 2, af.PCCombinerKind.BONFERRONI) == pytest.approx(
             0.03, abs=1e-15
         )
 
     def test_simes_minimum_over_tail(self):
-        col = make_sorted([0.01, 0.04, 0.9])
+        col = [0.01, 0.04, 0.9]
         # min(2*0.04/1, 2*0.9/2) = 0.08
         assert af.pc_pvalue(col, 2, af.PCCombinerKind.SIMES) == pytest.approx(
             0.08, abs=1e-15
@@ -141,28 +132,33 @@ class TestPcPvalue:
     def test_fisher_degenerates_to_largest_pvalue(self):
         # with a single tail value the chi-square round trip returns it exactly
         for p2 in (0.37, 0.8, 1.0):
-            col = make_sorted([0.05, p2])
+            col = [0.05, p2]
             got = af.pc_pvalue(col, 2, af.PCCombinerKind.FISHER)
             assert got == pytest.approx(p2, abs=1e-12)
 
     def test_output_capped_at_one(self):
-        col = make_sorted([0.9, 0.95, 0.99])
+        col = [0.9, 0.95, 0.99]
         for kind in COMBINERS:
             assert af.pc_pvalue(col, 2, kind) <= 1.0
 
     def test_zero_pvalue_propagates(self):
-        col = make_sorted([0.0, 0.0, 0.5])
+        col = [0.0, 0.0, 0.5]
         # r=2 keeps a zero inside the combined tail (0.0, 0.5)
         assert af.pc_pvalue(col, 2, af.PCCombinerKind.FISHER) == 0.0
         assert af.pc_pvalue(col, 2, af.PCCombinerKind.BONFERRONI) == 0.0
         assert af.pc_pvalue(col, 2, af.PCCombinerKind.SIMES) == 0.0
 
     def test_replicability_level_bounds(self):
-        col = make_sorted([0.1, 0.2])
+        col = [0.1, 0.2]
         with pytest.raises(ReplicabilityLevelOutOfRange):
             af.pc_pvalue(col, 1, af.PCCombinerKind.SIMES)
         with pytest.raises(ReplicabilityLevelOutOfRange):
             af.pc_pvalue(col, 3, af.PCCombinerKind.SIMES)
+        # a missing entry does not count towards n_j
+        with pytest.raises(ReplicabilityLevelOutOfRange) as exc:
+            af.pc_pvalue([0.1, NAN, 0.2], 3, af.PCCombinerKind.SIMES)
+        assert (exc.value.r, exc.value.n) == (3, 2)
+        assert af.pc_pvalue([0.1, NAN, 0.2], 2, af.PCCombinerKind.BONFERRONI) == 0.2
 
 
 class TestChiSquareSf:
@@ -262,8 +258,8 @@ class TestCombinerProperties:
         bumped = list(ps)
         bumped[idx] = max(bumped[idx], target)
         for kind in COMBINERS:
-            before = af.pc_pvalue(make_sorted(ps), r, kind)
-            after = af.pc_pvalue(make_sorted(bumped), r, kind)
+            before = af.pc_pvalue(ps, r, kind)
+            after = af.pc_pvalue(bumped, r, kind)
             # a tiny slack only for Fisher, whose exp/log round trip can
             # wobble in the last ulp; Bonferroni and Simes are exact
             slack = 1e-12 if kind is af.PCCombinerKind.FISHER else 0.0
@@ -273,9 +269,8 @@ class TestCombinerProperties:
     @given(column_with_bump())
     def test_simes_never_exceeds_bonferroni(self, case):
         ps, r, _, _ = case
-        col = make_sorted(ps)
-        simes = af.pc_pvalue(col, r, af.PCCombinerKind.SIMES)
-        bonf = af.pc_pvalue(col, r, af.PCCombinerKind.BONFERRONI)
+        simes = af.pc_pvalue(ps, r, af.PCCombinerKind.SIMES)
+        bonf = af.pc_pvalue(ps, r, af.PCCombinerKind.BONFERRONI)
         assert simes <= bonf
 
     def test_batch_matches_scalar_including_missing(self):

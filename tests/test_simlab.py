@@ -15,7 +15,8 @@ from scipy.special import erfc
 import adafilter as af
 from adafilter.errors import NoConvergence, ParseError, ValidationError
 from adafilter import simlab
-from adafilter.simlab import _stream, atomic_output, format_float, write_columns
+from adafilter.simlab import _stream
+from adafilter.tables import atomic_output, format_float, write_columns
 
 
 def scenario(**overrides) -> af.SimScenario:
