@@ -17,7 +17,7 @@ from adafilter import (
     AdaFilterError,
     default_panel_procedures,
     load_scenarios,
-    run_panel,
+    run_panels,
     write_metrics_tsv,
 )
 from adafilter.tables import atomic_output
@@ -58,8 +58,9 @@ def run(args: argparse.Namespace) -> int:
         )
         reports = []
         start = time.perf_counter()
-        for i, sc in enumerate(scenarios, start=1):
-            reports.append(run_panel(sc, procedures, threads=args.threads))
+        for i, report in enumerate(run_panels(scenarios, procedures, args.threads), start=1):
+            reports.append(report)
+            sc = report.scenario
             print(
                 f"[{i}/{len(scenarios)}] n={sc.n} r={sc.r} pi0={sc.pi0} "
                 f"b={sc.block_size} done ({time.perf_counter() - start:.1f}s)",

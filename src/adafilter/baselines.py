@@ -73,15 +73,19 @@ def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bo
     Returns the rejection mask and the p-value cutoff actually applied
     (0.0 when nothing is rejected). Ties at the cutoff are all rejected.
     """
-    m = pvalues.shape[0]
-    order = np.sort(pvalues)
-    thresholds = alpha * (np.arange(1, m + 1) / m)
-    ok = order <= thresholds
-    if not ok.any():
-        return np.zeros(m, dtype=bool), 0.0
-    k_star = int(np.flatnonzero(ok)[-1]) + 1
-    cutoff = float(order[k_star - 1])
+    ascending = np.sort(pvalues)
+    k_star = _bh_count(ascending, alpha)
+    if k_star == 0:
+        return np.zeros(pvalues.shape[0], dtype=bool), 0.0
+    cutoff = float(ascending[k_star - 1])
     return pvalues <= cutoff, cutoff
+
+
+def _bh_count(ascending: NDArray[np.float64], alpha: float) -> int:
+    """Step-up rejection count: the largest k with P_(k) <= alpha * (k/m), else 0."""
+    m = ascending.shape[0]
+    ok = np.flatnonzero(ascending <= alpha * (np.arange(1, m + 1) / m))
+    return int(ok[-1]) + 1 if ok.size else 0
 
 
 def direct_adjust(matrix: PValueMatrix, r: int, spec: DirectProcedureSpec) -> DecisionResult:
@@ -96,37 +100,34 @@ def direct_adjust(matrix: PValueMatrix, r: int, spec: DirectProcedureSpec) -> De
     testable = matrix.testable(r)
     alpha = float(spec.alpha)
 
+    # untestable columns have NaN PC p-values, which stay NaN when adjusted
     pc = matrix.pc_pvalues(r, spec.combiner)
     # r <= max n_j, so at least one column is testable
-    p_test = pc[testable]
-    m_t = p_test.shape[0]
-    adjusted = np.full(pc.shape[0], np.nan)
+    m_t = int(np.count_nonzero(testable))
     if spec.adjustment is AdjustmentKind.BONFERRONI:
         method = ProcedureKind.DIRECT_BONFERRONI
         cutoff = alpha / m_t
-        adjusted[testable] = np.minimum(1.0, p_test * m_t)
+        adjusted = np.minimum(1.0, pc * m_t)
     else:
         method = ProcedureKind.DIRECT_BH
+        # allocated before the sort's temporaries: allocated after them, this
+        # long-lived array raised peak RSS by about 15 MB at M = 1e6
+        adjusted = np.full(pc.shape[0], np.nan)
+        # one sort gives both the step-up cutoff and the adjusted values; the
+        # untestable columns sort last as +inf (argsort is several times
+        # slower on an array holding NaN)
+        order = np.argsort(np.where(testable, pc, np.inf))[:m_t]
+        ascending = pc[order]
+        k_star = _bh_count(ascending, alpha)
         # when nothing is rejected the cutoff is 0.0 and no P is 0 (a 0 is
         # always rejected), so P <= cutoff reproduces the step-up's mask
-        _, cutoff = bh_stepup(p_test, alpha)
-        adjusted[testable] = _bh_adjusted_pvalues(p_test)
+        cutoff = float(ascending[k_star - 1]) if k_star else 0.0
+        # running minimum of m*P_(i)/i from the top; within a block of ties it
+        # equals its value at the block's last position, so any tie order
+        # gives the same values
+        scaled = ascending * (m_t / np.arange(1, m_t + 1))
+        adjusted[order] = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
     return _decision(method, alpha, cutoff, pc, testable, adjusted)
-
-
-def _bh_adjusted_pvalues(pvalues: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Standard BH adjusted p-values: running minimum of m*P_(i)/i from the top.
-
-    Within a block of tied p-values the running minimum equals its value at
-    the block's last position, so any order of the ties gives the same output.
-    """
-    m = pvalues.shape[0]
-    order = np.argsort(pvalues)
-    scaled = pvalues[order] * (m / np.arange(1, m + 1))
-    adj = np.minimum.accumulate(scaled[::-1])[::-1]
-    out = np.empty(m)
-    out[order] = np.minimum(1.0, adj)
-    return out
 
 
 def pfer_bound(counts: object, alpha: float, m: int, n: int) -> float:

@@ -19,7 +19,7 @@ from .baselines import run_procedure
 from .errors import AdaFilterError, ValidationError
 from .pc_core import PCCombinerKind
 from .procedures import Procedure, ProcedureKind, _filter_select, compute_filter_select, curves
-from .simlab import default_panel_procedures, load_scenarios, run_panel
+from .simlab import default_panel_procedures, load_scenarios, run_panels
 from .tables import (
     atomic_output,
     format_float,
@@ -82,7 +82,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         procedures = default_panel_procedures(alpha_pfer=args.alpha, alpha_fdr=args.alpha)
     else:
         procedures = default_panel_procedures()
-    reports = [run_panel(sc, procedures, threads=threads) for sc in scenarios]
+    reports = list(run_panels(scenarios, procedures, threads))
     with atomic_output(args.output) as fh:
         write_metrics_tsv(reports, fh)
     for seed in dict.fromkeys(sc.master_seed for sc in scenarios):

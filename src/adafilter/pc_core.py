@@ -200,7 +200,7 @@ def _pc_pvalues_from_sorted(
     """
     m = sorted_values.shape[1]
     out = np.full(m, np.nan, dtype=np.float64)
-    for n_j in np.unique(n_per_hyp):
+    for n_j in np.flatnonzero(np.bincount(n_per_hyp)):
         n_j = int(n_j)
         if n_j < r:
             continue

@@ -3,9 +3,9 @@
 One scenario describes a synthetic panel: M hypotheses tested in n studies,
 a truth law giving each hypothesis a per-study non-null pattern, and
 block-correlated Gaussian Z-values whose non-null means are calibrated to
-hit named detection powers. run_panel replays B independent replications,
-runs every requested procedure on the same draws, and reports PFER, FDR and
-recall with normal-approximation confidence intervals.
+hit named detection powers. run_panels replays B independent replications
+of each scenario, runs every requested procedure on the same draws, and
+reports PFER, FDR and recall with normal-approximation confidence intervals.
 
 Randomness is counter-based (Philox) and keyed by
 (master_seed, replication, stream), where stream 0 draws the truth
@@ -15,7 +15,9 @@ independent and results do not depend on how work is scheduled.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -38,6 +40,7 @@ __all__ = [
     "sample_truth",
     "sample_pvalues",
     "run_panel",
+    "run_panels",
     "load_scenarios",
 ]
 
@@ -216,12 +219,21 @@ def sample_truth(scenario: SimScenario, rep: int) -> TruthAssignment:
             w = np.array([math.comb(n, int(k)) for k in ks], dtype=np.float64)
             k_counts[idx] = g.choice(ks, size=idx.size, p=w / w.sum())
 
-    # a uniformly random subset of k_j studies per column, via uniform ranks
-    u = g.random((n, m))
-    ranks = np.argsort(np.argsort(u, axis=0, kind="stable"), axis=0, kind="stable")
-    nonnull = ranks < k_counts[None, :]
+    nonnull = _lowest_k_mask(g.random((n, m)), k_counts)
     nonnull.setflags(write=False)
     return TruthAssignment(nonnull=nonnull, r=r)
+
+
+def _lowest_k_mask(u: NDArray[np.float64], k_counts: NDArray[np.int64]) -> NDArray[np.bool_]:
+    """True at the k_j smallest uniforms of each column j, ties broken by row.
+
+    This is a uniformly random subset of k_j studies per column. It equals
+    rank < k_j with ranks from a double stable argsort, with one sort fewer.
+    """
+    order = np.argsort(u, axis=0, kind="stable")
+    mask = np.empty(u.shape, dtype=bool)
+    np.put_along_axis(mask, order, np.arange(u.shape[0])[:, None] < k_counts, axis=0)
+    return mask
 
 
 def sample_pvalues(truth: TruthAssignment, scenario: SimScenario, rep: int) -> PValueMatrix:
@@ -250,8 +262,10 @@ def sample_pvalues(truth: TruthAssignment, scenario: SimScenario, rep: int) -> P
         eps = g.standard_normal(m)
         pick = g.integers(0, 8, size=m)
         z = sq_blk * np.repeat(w, b) + sq_own * eps
-        mean = mus[pick >> 1] * np.where(pick & 1, 1.0, -1.0)
-        z += np.where(truth.nonnull[i], mean, 0.0)
+        # all of pick is drawn, so the stream does not depend on the truth
+        nz = np.flatnonzero(truth.nonnull[i])
+        picked = pick[nz]
+        z[nz] += mus[picked >> 1] * np.where(picked & 1, 1.0, -1.0)
         values[i] = erfc(np.abs(z) * inv_sqrt2)
     values.setflags(write=False)
     return PValueMatrix(values=values, ids=None)
@@ -284,31 +298,75 @@ def run_panel(
     procedures: tuple[Procedure, ...] | list[Procedure],
     threads: int = 1,
 ) -> MetricsReport:
-    """Run every procedure on B replications and summarize the error metrics.
+    """Run every procedure on B replications of one scenario and summarize the error metrics.
 
-    Replications are split into contiguous chunks executed by worker
-    processes when threads > 1. The chunks' per-replication statistics are
-    joined in replication order, so the report is bit-identical for any
-    thread count.
+    This is run_panels on one scenario, so up to `threads` forked workers run
+    contiguous chunks of replications and the report is bit-identical for
+    any thread count.
+    """
+    return next(run_panels([scenario], procedures, threads))
+
+
+def run_panels(
+    scenarios: Sequence[SimScenario],
+    procedures: tuple[Procedure, ...] | list[Procedure],
+    threads: int = 1,
+) -> Iterator[MetricsReport]:
+    """Run every procedure on every scenario; yield one report per scenario, in order.
+
+    Each scenario's replications are split into min(threads, B) contiguous
+    chunks. With more than one chunk anywhere, one pool of min(threads, max
+    chunk count) worker processes takes every chunk at once, forked after
+    every scenario's means are calibrated. Chunks are joined in replication
+    order, so the reports are bit-identical for any thread count. A failing
+    chunk ends the run with its error and cancels the chunks still queued.
     """
     procedures = tuple(procedures)
     if not procedures:
         raise ValidationError("at least one procedure is required")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
+    for sc in scenarios:
+        _calibrated_mus(tuple(sc.power_targets), sc.effective_calibration_alpha)
+    chunks = [_chunks(sc.replications, threads) for sc in scenarios]
+    workers = max(map(len, chunks), default=1)
+    if workers == 1:
+        for sc, (reps,) in zip(scenarios, chunks):
+            yield _report(sc, procedures, [_run_chunk(sc, procedures, reps)])
+        return
+    import multiprocessing  # here, so that test and curve start without it
+
+    # fork even where the default is forkserver or spawn, so that workers
+    # inherit scipy and the means; a fork pool forks before starting threads
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork") if fork else None
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        futures = [
+            [pool.submit(_run_chunk, sc, procedures, reps) for reps in sc_chunks]
+            for sc, sc_chunks in zip(scenarios, chunks)
+        ]
+        try:
+            for sc, sc_futures in zip(scenarios, futures):
+                yield _report(sc, procedures, [fut.result() for fut in sc_futures])
+        finally:
+            for fut in itertools.chain.from_iterable(futures):
+                fut.cancel()
+
+
+def _chunks(replications: int, threads: int) -> list[range]:
+    """min(threads, replications) contiguous, near-equal ranges of replications."""
+    n_chunks = min(threads, replications)
+    bounds = np.linspace(0, replications, n_chunks + 1).astype(int)
+    return [range(bounds[i], bounds[i + 1]) for i in range(n_chunks)]
+
+
+def _report(
+    scenario: SimScenario,
+    procedures: tuple[Procedure, ...],
+    results: list[tuple[NDArray, NDArray, NDArray, NDArray]],
+) -> MetricsReport:
+    """PFER, FDR and recall with 95% intervals from the chunks' per-replication counts."""
     b = scenario.replications
-    # calibrate here, so that forked workers inherit scipy and the cached means
-    # instead of each importing and calibrating on its own
-    _calibrated_mus(tuple(scenario.power_targets), scenario.effective_calibration_alpha)
-    n_chunks = min(int(threads), b)
-    bounds = np.linspace(0, b, n_chunks + 1).astype(int)
-    chunks = [range(bounds[i], bounds[i + 1]) for i in range(n_chunks)]
-    if n_chunks == 1:
-        results = [_run_chunk(scenario, procedures, chunks[0])]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            futures = [pool.submit(_run_chunk, scenario, procedures, ch) for ch in chunks]
-            results = [fut.result() for fut in futures]
     v, rr, tp, npc = (np.concatenate(parts) for parts in zip(*results))
 
     pfer = v.astype(np.float64)

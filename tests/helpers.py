@@ -118,3 +118,19 @@ def read_outcome(read, path: str):
     except Exception as exc:  # every exception is compared, not only the expected ones
         return type(exc), str(exc)
     return matrix.values.tobytes(), matrix.values.shape, matrix.ids
+
+
+def bh_adjusted_pvalues(pvalues):
+    """Reference BH adjusted p-values from their own sort: running minimum of
+    m*P_(i)/i from the top, capped at 1.
+
+    Within a block of tied p-values the running minimum equals its value at
+    the block's last position, so any order of the ties gives the same output.
+    """
+    m = pvalues.shape[0]
+    order = np.argsort(pvalues)
+    scaled = pvalues[order] * (m / np.arange(1, m + 1))
+    adj = np.minimum.accumulate(scaled[::-1])[::-1]
+    out = np.empty(m)
+    out[order] = np.minimum(1.0, adj)
+    return out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import adafilter as af
-from adafilter.baselines import _bh_adjusted_pvalues, bh_stepup
+from adafilter.baselines import bh_stepup
 from adafilter.errors import ReplicabilityLevelOutOfRange, ValidationError
 import helpers
 
@@ -156,6 +156,42 @@ class TestDirectAdjust:
             # standard identity: reject exactly the adjusted values <= alpha
             np.testing.assert_array_equal(res.rejected[testable], adj <= alpha)
 
+    def test_bh_cutoff_and_adjusted_match_stepup_and_reference(self):
+        # direct BH takes its cutoff and adjusted values from one sort of the
+        # PC p-values; both must equal bh_stepup's and the reference's
+
+        def check(mat, r, combiner, alpha):
+            res = af.direct_adjust(mat, r, spec(combiner, "bh", alpha))
+            testable = ~res.untestable
+            pc = mat.pc_pvalues(r, af.PCCombinerKind(combiner))[testable]
+            mask, cutoff = bh_stepup(pc, alpha)
+            assert res.gamma0 == cutoff
+            assert res.rejected[testable].tolist() == mask.tolist()
+            assert res.adjusted[testable].tolist() == helpers.bh_adjusted_pvalues(pc).tolist()
+            return int(mask.sum())
+
+        rng = np.random.default_rng(37)
+        done = 0
+        while done < 150:
+            inst = helpers.random_matrix(rng, max_m=30)
+            if inst is None:
+                continue
+            mat, r = inst
+            done += 1
+            alpha = helpers.random_alpha(rng)
+            for combiner in ("simes", "fisher", "bonferroni"):
+                check(mat, r, combiner, alpha)
+        # at r = n = 2 the Bonferroni PC p-value of a column (p, p) is p; the
+        # last column has one observed entry and is untestable
+        for pcs, rejections in (
+            ([0.5, 0.7, 0.7, 0.9], 0),
+            ([0.0, 0.01, 0.01, 0.02], 4),
+            ([0.03], 1),
+            ([0.3], 0),
+        ):
+            mat = af.validate_matrix([pcs + [0.001], pcs + [NAN]])
+            assert check(mat, 2, "bonferroni", 0.05) == rejections
+
 
 class TestBhAdjustedPvalues:
     def test_heavily_tied_input_matches_definition(self):
@@ -171,9 +207,9 @@ class TestBhAdjustedPvalues:
                 min(1.0, min(order[k - 1] * (m / k) for k in range(1, m + 1) if order[k - 1] >= pj))
                 for pj in p.tolist()
             ]
-            assert _bh_adjusted_pvalues(p).tolist() == want
+            assert helpers.bh_adjusted_pvalues(p).tolist() == want
             perm = rng.permutation(m)
-            assert _bh_adjusted_pvalues(p[perm]).tolist() == [want[i] for i in perm]
+            assert helpers.bh_adjusted_pvalues(p[perm]).tolist() == [want[i] for i in perm]
 
 
 class TestRunProcedure:

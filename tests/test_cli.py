@@ -465,7 +465,7 @@ before = "scipy.special" in sys.modules
 
 class InlinePool:
     submitted = []
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         pass
     def __enter__(self):
         return self

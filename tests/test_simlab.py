@@ -3,6 +3,7 @@
 import concurrent.futures
 import io
 import math
+import multiprocessing
 import os
 import pathlib
 import stat
@@ -15,6 +16,7 @@ from scipy.special import erfc
 import adafilter as af
 from adafilter.errors import NoConvergence, ParseError, ValidationError
 from adafilter import simlab
+from adafilter.cli import main as cli_main
 from adafilter.simlab import _stream
 from adafilter.tables import atomic_output, format_float, write_columns
 
@@ -33,6 +35,38 @@ def scenario(**overrides) -> af.SimScenario:
     )
     base.update(overrides)
     return af.SimScenario(**base)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand-in for the process pool that runs each chunk when it is submitted
+    and starts no process. It records each pool's size and start-method
+    context and, at every submit, how many calibrated means are cached."""
+
+    class InlinePool:
+        sizes = []
+        contexts = []
+        cached = []
+
+        def __init__(self, max_workers, mp_context=None):
+            InlinePool.sizes.append(max_workers)
+            InlinePool.contexts.append(mp_context)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            InlinePool.cached.append(simlab._calibrated_mus.cache_info().currsize)
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    simlab._calibrated_mus.cache_clear()
+    return InlinePool
 
 
 class TestScenarioValidation:
@@ -152,6 +186,19 @@ class TestSampleTruth:
         loads = truth.nonnull.mean(axis=1)
         assert loads.max() - loads.min() < 0.01
 
+    def test_mask_matches_double_argsort(self):
+        # one stable argsort plus a scatter marks the same studies as ranks
+        # from a double stable argsort, ties (uniforms rounded to one
+        # decimal) broken by row, for every k from 0 to n
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 8):
+            k = rng.integers(0, n + 1, size=300)
+            k[:2] = (0, n)
+            u = rng.random((n, 300))
+            for draws in (u, np.round(u, 1)):
+                ranks = np.argsort(np.argsort(draws, axis=0, kind="stable"), axis=0, kind="stable")
+                np.testing.assert_array_equal(simlab._lowest_k_mask(draws, k), ranks < k)
+
     def test_deterministic_per_replication(self):
         sc = scenario(M=500)
         a = af.sample_truth(sc, rep=7)
@@ -259,42 +306,61 @@ class TestRunPanel:
         parallel = af.run_panel(sc, af.default_panel_procedures(), threads=3)
         assert serial == parallel
 
-    def test_pool_has_one_worker_per_chunk(self, monkeypatch):
-        # an inline stand-in for the process pool records its size and
-        # starts no process
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    def test_pool_has_one_worker_per_chunk(self, inline_pool):
         sc = scenario(M=200, block_size=10, replications=3)
         pooled = af.run_panel(sc, af.default_panel_procedures(), threads=64)
-        assert sizes == [3]
+        assert inline_pool.sizes == [3]
         assert pooled == af.run_panel(sc, af.default_panel_procedures(), threads=1)
-        assert sizes == [3]
+        assert inline_pool.sizes == [3]
 
-    def test_means_calibrated_before_the_pool_starts(self, monkeypatch):
+    def test_means_calibrated_before_the_pool_starts(self, inline_pool):
         # forked workers inherit the parent's calibration cache, so the first
         # submitted chunk must find the scenario's means already there
         sc = scenario(M=200, block_size=10, replications=3, master_seed=77)
-        key = (tuple(sc.power_targets), sc.effective_calibration_alpha)
-        hits = []
+        af.run_panel(sc, af.default_panel_procedures(), threads=2)
+        assert inline_pool.cached == [1, 1]
 
-        class InlinePool:
-            def __init__(self, max_workers):
+    def test_one_pool_per_run(self, inline_pool):
+        # three scenarios of different n, replications and calibration level
+        # share one pool of min(threads, max chunk count) forked workers; every
+        # scenario's means are cached before the first chunk is submitted
+        scenarios = [
+            scenario(M=200, n=2, r=2, block_size=10, replications=2, master_seed=5),
+            scenario(M=300, n=4, r=3, block_size=10, replications=5, master_seed=6),
+            scenario(M=400, n=3, r=2, block_size=10, replications=3, master_seed=7),
+        ]
+        procs = af.default_panel_procedures()
+        pooled = list(af.run_panels(scenarios, procs, threads=4))
+        assert inline_pool.sizes == [4]
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert [ctx.get_start_method() for ctx in inline_pool.contexts] == ["fork"]
+        assert inline_pool.cached == [3] * (2 + 4 + 3)
+        assert pooled == [af.run_panel(sc, procs, threads=1) for sc in scenarios]
+        assert inline_pool.sizes == [4]
+
+    def test_simulate_bytes_equal_for_any_worker_count(self, inline_pool, tmp_path):
+        path = tmp_path / "grid.scenario"
+        path.write_text(
+            "M = 200\nn = 2, 4\nr = 2, 3\npi0 = 0.8, 0.95\npi_rn = 0.05\nrho = 0.3\n"
+            "block_size = 10\nreplications = 3\nmaster_seed = 8\n",
+            encoding="utf-8",
+        )
+        outputs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}.tsv"
+            args = ["simulate", "--scenario", str(path), "--output", str(out)]
+            assert cli_main([*args, "--threads", str(threads)]) == 0
+            outputs.append(out.read_bytes())
+        assert inline_pool.sizes == [2, 3]
+        assert len(outputs[0].splitlines()) == 1 + 4 * 8
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_failing_chunk_ends_the_run_and_cancels_the_queue(self, monkeypatch):
+        # a pool that runs nothing: the first chunk fails, the others stay queued
+        futures = []
+
+        class QueuedPool:
+            def __init__(self, max_workers, mp_context=None):
                 pass
 
             def __enter__(self):
@@ -304,17 +370,17 @@ class TestRunPanel:
                 return False
 
             def submit(self, fn, *args):
-                before = simlab._calibrated_mus.cache_info()
-                simlab._calibrated_mus(*key)
-                hits.append(simlab._calibrated_mus.cache_info().hits - before.hits)
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
+                futures.append(concurrent.futures.Future())
+                if len(futures) == 1:
+                    futures[0].set_exception(ValidationError("chunk failed"))
+                return futures[-1]
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        simlab._calibrated_mus.cache_clear()
-        af.run_panel(sc, af.default_panel_procedures(), threads=2)
-        assert hits == [1, 1]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", QueuedPool)
+        scenarios = [scenario(M=200, block_size=10, replications=4)] * 2
+        with pytest.raises(ValidationError, match="chunk failed"):
+            list(af.run_panels(scenarios, af.default_panel_procedures(), threads=2))
+        assert len(futures) == 4
+        assert all(fut.cancelled() for fut in futures[1:])
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):
