@@ -22,9 +22,9 @@ from .procedures import (
     ProcedureKind,
     _check_alpha,
     _decision,
-    _filter_select,
     adafilter_bh,
     adafilter_bonferroni,
+    compute_filter_select,
 )
 
 __all__ = [
@@ -57,9 +57,9 @@ class DirectProcedureSpec:
 def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResult:
     """Run one procedure on a p-value matrix at replicability level r."""
     if proc.kind is ProcedureKind.ADAFILTER_BONFERRONI:
-        return adafilter_bonferroni(_filter_select(matrix, r), proc.alpha)
+        return adafilter_bonferroni(compute_filter_select(matrix, r), proc.alpha)
     if proc.kind is ProcedureKind.ADAFILTER_BH:
-        return adafilter_bh(_filter_select(matrix, r), proc.alpha)
+        return adafilter_bh(compute_filter_select(matrix, r), proc.alpha)
     if proc.kind is ProcedureKind.DIRECT_BONFERRONI:
         adjustment = AdjustmentKind.BONFERRONI
     else:
@@ -138,6 +138,9 @@ def pfer_bound(counts: object, alpha: float, m: int, n: int) -> float:
     k = n-1 term dominates: those hypotheses need a single null study to
     clear the threshold by chance.
     """
+    if m < 1 or n < 2:
+        raise ValidationError(f"need m >= 1 and n >= 2, got m = {m}, n = {n}")
+    alpha = _check_alpha(alpha)
     c = np.asarray(counts, dtype=np.float64)
     if c.ndim != 1 or c.shape[0] != n:
         raise ValidationError(f"expected {n} counts (k = 0..n-1), got shape {c.shape}")
@@ -145,8 +148,6 @@ def pfer_bound(counts: object, alpha: float, m: int, n: int) -> float:
         raise ValidationError("counts must be finite and nonnegative")
     if c.sum() > m:
         raise ValidationError("counts sum to more than the number of hypotheses")
-    if m < 1 or not (0.0 < float(alpha) <= 1.0):
-        raise ValidationError("need m >= 1 and alpha in (0, 1]")
-    base = float(alpha) / m
+    base = alpha / m
     powers = base ** (n - np.arange(n, dtype=np.float64))
     return float(np.dot(c, powers))

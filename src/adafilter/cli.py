@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import run_procedure
 from .errors import AdaFilterError, ValidationError
 from .pc_core import PCCombinerKind
-from .procedures import Procedure, ProcedureKind, _filter_select, compute_filter_select, curves
+from .procedures import Procedure, ProcedureKind, compute_filter_select, curves
 from .simlab import default_panel_procedures, load_scenarios, run_panels
 from .tables import (
     atomic_output,
@@ -39,7 +39,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     proc = Procedure(ProcedureKind(args.method), alpha, combiner)
 
     matrix = ingest_csv(args.input)
-    stats = _filter_select(matrix, args.r)
+    stats = compute_filter_select(matrix, args.r)
     result = run_procedure(matrix, args.r, proc)
 
     columns = {

@@ -48,7 +48,7 @@ class PValueMatrix:
 
     The per-column order statistics every procedure reads are computed once
     and memoised: n_per_hyp, sorted_values and pc_pvalues(r, kind), and, in
-    the same store, the F/S statistics per r (procedures._filter_select).
+    the same store, the F/S statistics per r (procedures.compute_filter_select).
     All are read-only, and values must not change after construction.
     """
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from enum import Enum
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -91,6 +92,10 @@ class FilterSelectStats:
     filter_p and select_p are uncapped (they may exceed 1); capping is a
     reporting concern and would break F_j <= S_j tie checks. Columns with
     n_j < r are untestable: testable[j] is False and both p-values are NaN.
+
+    The testable F_j and S_j are sorted once, on first use, and every
+    procedure and curve reads its counts #{F_j <= gamma} and #{S_j <= gamma}
+    from counts(). The arrays must not change after construction.
     """
 
     filter_p: NDArray[np.float64]
@@ -104,6 +109,23 @@ class FilterSelectStats:
     @property
     def n_testable(self) -> int:
         return int(np.count_nonzero(self.testable))
+
+    @cached_property
+    def sorted_filter(self) -> NDArray[np.float64]:
+        """The testable F_j, ascending."""
+        return _read_only(np.sort(self.filter_p[self.testable]))
+
+    @cached_property
+    def sorted_select(self) -> NDArray[np.float64]:
+        """The testable S_j, ascending."""
+        return _read_only(np.sort(self.select_p[self.testable]))
+
+    def counts(self, gamma: float | NDArray[np.float64]) -> tuple:
+        """(#{testable j : F_j <= gamma}, #{testable j : S_j <= gamma}), gamma scalar or array."""
+        return (
+            np.searchsorted(self.sorted_filter, gamma, side="right"),
+            np.searchsorted(self.sorted_select, gamma, side="right"),
+        )
 
 
 @dataclass(frozen=True)
@@ -143,24 +165,20 @@ def compute_filter_select(matrix: PValueMatrix, r: int) -> FilterSelectStats:
     F_j = (n_j-r+1) * P_{(r-1)j} and S_j = (n_j-r+1) * P_{(r)j}, computed
     from the sorted observed p-values of each column. A single global r is
     used; columns with n_j < r are flagged untestable and excluded from all
-    later counts.
+    later counts. The result is computed once per matrix and r and memoised
+    on the matrix, so repeated calls return the same object.
     """
-    testable = matrix.testable(r)
-    sv = matrix.sorted_values
-    k = (matrix.n_per_hyp - r + 1).astype(np.float64)
-    # sorted columns put NaN last, so row r-1 is NaN exactly where n_j < r;
-    # row r-2 still holds a value where n_j = r-1, so filter_p needs the mask
-    filter_p = k * sv[r - 2, :]
-    select_p = k * sv[r - 1, :]
-    filter_p[~testable] = np.nan
-    return FilterSelectStats(_read_only(filter_p), _read_only(select_p), testable)
-
-
-def _filter_select(matrix: PValueMatrix, r: int) -> FilterSelectStats:
-    """compute_filter_select, computed once per matrix and r and memoised on the matrix."""
     key = ("filter_select", r)
     if key not in matrix._memo:
-        matrix._memo[key] = compute_filter_select(matrix, r)
+        testable = matrix.testable(r)
+        sv = matrix.sorted_values
+        k = (matrix.n_per_hyp - r + 1).astype(np.float64)
+        # sorted columns put NaN last, so row r-1 is NaN exactly where n_j < r;
+        # row r-2 still holds a value where n_j = r-1, so filter_p needs the mask
+        filter_p = k * sv[r - 2, :]
+        select_p = k * sv[r - 1, :]
+        filter_p[~testable] = np.nan
+        matrix._memo[key] = FilterSelectStats(_read_only(filter_p), _read_only(select_p), testable)
     return matrix._memo[key]
 
 
@@ -171,12 +189,12 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _testable_sorted(stats: FilterSelectStats) -> tuple[NDArray, NDArray, int]:
-    mask = stats.testable
-    m_t = int(np.count_nonzero(mask))
+def _testable_count(stats: FilterSelectStats) -> int:
+    """M_t; raises NoTestableHypotheses when it is 0 (possible only for hand-built stats)."""
+    m_t = stats.sorted_filter.shape[0]
     if m_t == 0:
         raise NoTestableHypotheses("every column has fewer than r observed p-values")
-    return np.sort(stats.filter_p[mask]), np.sort(stats.select_p[mask]), m_t
+    return m_t
 
 
 def _decision(
@@ -187,11 +205,10 @@ def _decision(
 
     The statistic is S_j for the adaptive procedures, the PC p-value for the direct ones.
     """
-    rejected = testable & (stat <= gamma0)
-    untestable = ~testable
-    for arr in (rejected, untestable, adjusted):
-        if arr is not None:
-            arr.setflags(write=False)
+    rejected = _read_only(testable & (stat <= gamma0))
+    untestable = _read_only(~testable)
+    if adjusted is not None:
+        _read_only(adjusted)
     return DecisionResult(method, alpha, gamma0, filtered_count, rejected, untestable, adjusted)
 
 
@@ -199,16 +216,17 @@ def adafilter_bonferroni(stats: FilterSelectStats, alpha: float) -> DecisionResu
     """Adaptive Bonferroni: largest gamma = alpha/k with gamma * #{F <= gamma} <= alpha.
 
     Since gamma = alpha/k, feasibility is exactly #{F <= alpha/k} <= k, an
-    integer comparison with no rounding slack. The count is nonincreasing in
-    k, so the smallest feasible k gives the largest feasible gamma.
+    integer comparison with no rounding slack, and it holds exactly when the
+    (k+1)-th smallest F exceeds alpha/k (k = M_t is always feasible). The
+    count is nonincreasing in k, so the smallest feasible k gives the largest
+    feasible gamma.
     """
     alpha = _check_alpha(alpha)
-    fs, _, m_t = _testable_sorted(stats)
-    ks = np.arange(1, m_t + 1)
-    gammas = alpha / ks
-    counts = np.searchsorted(fs, gammas, side="right")
-    feasible = counts <= ks
-    k_star = int(np.argmax(feasible)) + 1  # k = m_t is always feasible
+    m_t = _testable_count(stats)
+    gammas = alpha / np.arange(1, m_t + 1)
+    # "not <=" rather than ">": a NaN sorts above every gamma, as in searchsorted
+    feasible = np.append(~(stats.sorted_filter[1:] <= gammas[:-1]), True)
+    k_star = int(np.argmax(feasible)) + 1
     gamma0 = float(gammas[k_star - 1])
     adjusted = np.minimum(1.0, stats.select_p * k_star)
     return _decision(
@@ -225,13 +243,6 @@ def _grid_float(k: int, m: int, num: int, den: int) -> float:
     returned by float.as_integer_ratio().
     """
     return (k * num) / (m * den)
-
-
-def _feasible_at(gamma: float, k: int, m: int, fs: NDArray, ss: NDArray) -> bool:
-    """Exact feasibility of grid value gamma = k*alpha/m: k*#{F<=g} <= m*#{S<=g}."""
-    cf = int(np.searchsorted(fs, gamma, side="right"))
-    cs = int(np.searchsorted(ss, gamma, side="right"))
-    return k * cf <= m * cs
 
 
 def _round_preimage(b: float) -> tuple[Fraction, bool]:
@@ -281,7 +292,7 @@ def _largest_grid_fraction(qbound: Fraction, inclusive: bool, max_den: int) -> F
     return c if c > 0 else Fraction(0)
 
 
-def _bh_threshold(fs: NDArray, ss: NDArray, m_t: int, alpha: float) -> float:
+def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
     """Largest feasible grid value for the adaptive BH procedure.
 
     Scans the intervals between consecutive breakpoints (the F and S values
@@ -293,19 +304,18 @@ def _bh_threshold(fs: NDArray, ss: NDArray, m_t: int, alpha: float) -> float:
     rational fallback often; continuous inputs almost never do.
     """
     num, den = alpha.as_integer_ratio()
+    m_t = _testable_count(stats)
 
     # gamma = alpha is the grid maximum; feasible iff #{F<=a} <= #{S<=a}
-    cf_alpha = int(np.searchsorted(fs, alpha, side="right"))
-    cs_alpha = int(np.searchsorted(ss, alpha, side="right"))
+    cf_alpha, cs_alpha = stats.counts(alpha)
     if cf_alpha <= cs_alpha:
         return alpha
 
-    inner = np.concatenate([fs[fs <= alpha], ss[ss <= alpha]])
-    edges = np.unique(np.concatenate([np.array([0.0, alpha]), inner]))
+    inner = (stats.sorted_filter[:cf_alpha], stats.sorted_select[:cs_alpha])
+    edges = np.unique(np.concatenate([np.array([0.0, alpha]), *inner]))
     lower = edges[:-1]
     upper = edges[1:]
-    c_f = np.searchsorted(fs, lower, side="right")
-    c_s = np.searchsorted(ss, lower, side="right")
+    c_f, c_s = stats.counts(lower)
 
     # screening: an interval can contribute only if alpha*cS/cF reaches its
     # lower edge (within two-step rounding slack, hence the 1e-9 margin)
@@ -330,7 +340,8 @@ def _bh_threshold(fs: NDArray, ss: NDArray, m_t: int, alpha: float) -> float:
             g = _grid_float(k, m, num, den)
             if g >= lo:
                 if g < hi:
-                    if _feasible_at(g, k, m, fs, ss):
+                    cf_g, cs_g = stats.counts(g)
+                    if k * cf_g <= m * cs_g:
                         best = max(best, g)
                 else:
                     t_bound, inclusive = _round_preimage(hi)
@@ -345,7 +356,8 @@ def _bh_threshold(fs: NDArray, ss: NDArray, m_t: int, alpha: float) -> float:
                     if q > 0:
                         k2, m2 = q.numerator, q.denominator
                         g2 = _grid_float(k2, m2, num, den)
-                        if g2 >= lo and _feasible_at(g2, k2, m2, fs, ss):
+                        cf_g, cs_g = stats.counts(g2)
+                        if g2 >= lo and k2 * cf_g <= m2 * cs_g:
                             best = max(best, g2)
         if best >= lo:
             break
@@ -367,20 +379,17 @@ def adafilter_bh(
     per bisection step and intended for small inputs.
     """
     alpha = _check_alpha(alpha)
-    fs, ss, m_t = _testable_sorted(stats)
-    gamma0 = _bh_threshold(fs, ss, m_t, alpha)
-    adjusted = _bh_adjusted(stats, fs, ss, m_t) if compute_adjusted else None
+    gamma0 = _bh_threshold(stats, alpha)
+    adjusted = _bh_adjusted(stats) if compute_adjusted else None
     return _decision(
         ProcedureKind.ADAFILTER_BH, alpha, gamma0, stats.select_p, stats.testable, adjusted
     )
 
 
-def _bh_adjusted(
-    stats: FilterSelectStats, fs: NDArray, ss: NDArray, m_t: int
-) -> NDArray[np.float64]:
+def _bh_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
     """1 where alpha = 1 does not reject, NaN where untestable, bisection elsewhere."""
     out = np.where(stats.testable, 1.0, np.nan)
-    rejected_at_one = stats.testable & (stats.select_p <= _bh_threshold(fs, ss, m_t, 1.0))
+    rejected_at_one = stats.testable & (stats.select_p <= _bh_threshold(stats, 1.0))
     for j in np.flatnonzero(rejected_at_one):
         s_j = float(stats.select_p[j])
         lo, hi = 0.0, 1.0
@@ -388,7 +397,7 @@ def _bh_adjusted(
             mid = 0.5 * (lo + hi)
             if mid <= 0.0 or mid >= 1.0:
                 break
-            if s_j <= _bh_threshold(fs, ss, m_t, mid):
+            if s_j <= _bh_threshold(stats, mid):
                 hi = mid
             else:
                 lo = mid
@@ -404,23 +413,15 @@ def adafilter_bh_oracle(stats: FilterSelectStats, alpha: float) -> DecisionResul
     the fast search.
     """
     alpha = _check_alpha(alpha)
-    fs, ss, m_t = _testable_sorted(stats)
+    m_t = _testable_count(stats)
     if m_t > _ORACLE_LIMIT:
         raise OracleSizeExceeded(m_t, _ORACLE_LIMIT)
     num, den = alpha.as_integer_ratio()
 
-    n_pairs = m_t * (m_t + 1) // 2
-    gammas = np.empty(n_pairs)
-    pos = 0
-    for m in range(1, m_t + 1):
-        for k in range(1, m + 1):
-            gammas[pos] = _grid_float(k, m, num, den)
-            pos += 1
-    ks = np.concatenate([np.arange(1, m + 1) for m in range(1, m_t + 1)])
-    ms = np.repeat(np.arange(1, m_t + 1), np.arange(1, m_t + 1))
-
-    c_f = np.searchsorted(fs, gammas, side="right")
-    c_s = np.searchsorted(ss, gammas, side="right")
+    pairs = [(k, m) for m in range(1, m_t + 1) for k in range(1, m + 1)]
+    gammas = np.array([_grid_float(k, m, num, den) for k, m in pairs])
+    ks, ms = np.array(pairs).T
+    c_f, c_s = stats.counts(gammas)
     feasible = ks * c_f <= ms * c_s
     gamma0 = float(gammas[feasible].max()) if feasible.any() else 0.0
     return _decision(ProcedureKind.ADAFILTER_BH, alpha, gamma0, stats.select_p, stats.testable)
@@ -435,29 +436,25 @@ def curves(
 
     With grid=None the default grid is used: {0}, every F_j and S_j value
     up to 1, and, when alpha is given, the ladder alpha*k/100 for k=1..100.
-    A provided grid must be nondecreasing within [0, 1].
+    A provided grid must be finite and nondecreasing within [0, 1]; it is
+    copied, never modified. alpha, whenever given, must lie in (0, 1].
     """
-    mask = stats.testable
-    f = stats.filter_p[mask]
-    s = stats.select_p[mask]
+    if alpha is not None:
+        alpha = _check_alpha(alpha)
     if grid is None:
-        pieces = [np.array([0.0]), f[f <= 1.0], s[s <= 1.0]]
+        cf_one, cs_one = stats.counts(1.0)
+        pieces = [np.array([0.0]), stats.sorted_filter[:cf_one], stats.sorted_select[:cs_one]]
         if alpha is not None:
-            alpha = _check_alpha(alpha)
             pieces.append(alpha * (np.arange(1, 101) / 100.0))
         g = np.unique(np.concatenate(pieces))
     else:
-        g = np.asarray(grid, dtype=np.float64)
+        g = np.array(grid, dtype=np.float64)
         if g.ndim != 1:
             raise ValidationError("grid must be one-dimensional")
-        if g.size and (np.any(g < 0.0) or np.any(g > 1.0) or np.any(np.diff(g) < 0)):
-            raise ValidationError("grid values must be nondecreasing within [0, 1]")
-    fs = np.sort(f)
-    ss = np.sort(s)
-    c_f = np.searchsorted(fs, g, side="right")
-    c_s = np.searchsorted(ss, g, side="right")
+        # NaN fails both comparisons, so it is rejected with the out-of-range values
+        if not (np.all((g >= 0.0) & (g <= 1.0)) and np.all(np.diff(g) >= 0)):
+            raise ValidationError("grid values must be finite and nondecreasing within [0, 1]")
+    c_f, c_s = stats.counts(g)
     v_hat = g * c_f
     fdp_hat = v_hat / np.maximum(c_s, 1)
-    for arr in (g, v_hat, fdp_hat):
-        arr.setflags(write=False)
-    return CurveTable(gamma=g, v_hat=v_hat, fdp_hat=fdp_hat)
+    return CurveTable(gamma=_read_only(g), v_hat=_read_only(v_hat), fdp_hat=_read_only(fdp_hat))

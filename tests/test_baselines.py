@@ -302,3 +302,15 @@ class TestPferBound:
             af.pfer_bound([1, 2], alpha=0.0, m=10, n=2)
         with pytest.raises(ValidationError):
             af.pfer_bound([1, 2], alpha=0.5, m=0, n=2)
+        # m and n are checked before the counts, so the report names them
+        with pytest.raises(ValidationError, match="m >= 1"):
+            af.pfer_bound([], alpha=0.5, m=1, n=0)
+        with pytest.raises(ValidationError, match="n >= 2"):
+            af.pfer_bound([0.5], alpha=0.5, m=10, n=1)
+        with pytest.raises(ValidationError, match="m >= 1"):
+            af.pfer_bound([1.5, 0], alpha=0.5, m=0, n=2)
+        # alpha follows the package-wide rule (0, 1], NaN included
+        with pytest.raises(ValidationError, match="alpha"):
+            af.pfer_bound([1, 2], alpha=float("nan"), m=10, n=2)
+        with pytest.raises(ValidationError, match="alpha"):
+            af.pfer_bound([1, 2], alpha=1.5, m=10, n=2)

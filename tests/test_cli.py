@@ -209,20 +209,25 @@ class TestCmdTest:
         assert "rejections = 0" in capsys.readouterr().out
 
     def test_filter_select_computed_once(self, tmp_path, monkeypatch):
-        original = af.procedures.compute_filter_select
-        calls = []
+        # cmd_test and run_procedure both ask for the statistics; the memo on
+        # the matrix means they are built once per run, whatever the method
+        real = af.procedures.FilterSelectStats
+        built = []
 
-        def counting(*args):
-            calls.append(args[1])
-            return original(*args)
+        def counting(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "adafilter":
-                for key, held in list(vars(module).items()):
-                    if held is original:
-                        monkeypatch.setattr(module, key, counting)
-        self.run(tmp_path, TOY_CSV, method="adafilter-bh", r=2)
-        assert calls == [2]
+        monkeypatch.setattr(af.procedures, "FilterSelectStats", counting)
+        for method, combiner in (
+            ("adafilter-bh", None),
+            ("adafilter-bonferroni", None),
+            ("direct-bh", "fisher"),
+            ("direct-bonferroni", "simes"),
+        ):
+            built.clear()
+            self.run(tmp_path, TOY_CSV, method=method, combiner=combiner, r=2)
+            assert len(built) == 1, method
 
     def test_combiner_flag_pairing(self, tmp_path):
         out = str(tmp_path / "o.tsv")

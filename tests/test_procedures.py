@@ -59,6 +59,52 @@ class TestComputeFilterSelect:
         assert math.isnan(stats.select_p[0])
         assert stats.testable[1]
 
+    def test_memoised_per_matrix_and_r(self):
+        matrix = af.validate_matrix(np.random.default_rng(5).random((4, 30)))
+        stats = af.compute_filter_select(matrix, 2)
+        assert af.compute_filter_select(matrix, 2) is stats
+        at_three = af.compute_filter_select(matrix, 3)
+        assert at_three is not stats
+        assert af.compute_filter_select(matrix, 3) is at_three
+
+    def test_every_procedure_shares_one_sort(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        stats = af.compute_filter_select(af.validate_matrix(rng.random((3, 40)) ** 3), 2)
+        real_sort = np.sort
+        sorted_sizes = []
+
+        def counting(a, *args, **kwargs):
+            sorted_sizes.append(np.shape(a))
+            return real_sort(a, *args, **kwargs)
+
+        def run_all():
+            af.adafilter_bonferroni(stats, 0.1)
+            af.adafilter_bh(stats, 0.1)
+            af.adafilter_bh(stats, 0.1, compute_adjusted=True)
+            af.adafilter_bh_oracle(stats, 0.1)
+            af.curves(stats)
+            af.curves(stats, grid=np.linspace(0.0, 1.0, 11), alpha=0.1)
+
+        monkeypatch.setattr(np, "sort", counting)
+        run_all()
+        fs, ss = stats.sorted_filter, stats.sorted_select
+        run_all()
+        # one sort of F and one of S over both rounds, and the second round
+        # reads the arrays the first one cached
+        assert sorted_sizes == [(40,), (40,)]
+        assert stats.sorted_filter is fs and stats.sorted_select is ss
+        assert not fs.flags.writeable and not ss.flags.writeable
+        assert np.array_equal(fs, real_sort(stats.filter_p))
+        assert np.array_equal(ss, real_sort(stats.select_p))
+
+    def test_counts_are_right_continuous(self):
+        stats = stats_from_fs([0.1, 0.2, 0.2, NAN], [0.2, 0.3, 0.5, NAN])
+        cf, cs = stats.counts(0.2)
+        assert (cf, cs) == (3, 1)
+        cf, cs = stats.counts(np.array([0.0, 0.1, 0.3, 1.0]))
+        assert cf.tolist() == [0, 1, 3, 3]
+        assert cs.tolist() == [0, 0, 2, 3]
+
     def test_missing_entry_changes_multiplier(self):
         matrix = af.validate_matrix([[0.1], [0.2], [0.3], [NAN]])
         stats = af.compute_filter_select(matrix, 2)
@@ -109,6 +155,13 @@ class TestAdaptiveBonferroni:
         res = af.adafilter_bonferroni(stats, 0.05)
         assert res.gamma0 == 0.05
         assert res.n_rejected == 0
+
+    def test_nan_filter_value_counts_above_every_gamma(self):
+        # a hand-built testable F_j = NaN is never <= gamma in #{F <= gamma},
+        # so k = 1 stays feasible at alpha/1
+        stats = stats_from_fs([0.01, NAN], [0.02, 0.5])
+        res = af.adafilter_bonferroni(stats, 0.05)
+        assert (res.filtered_count, res.gamma0) == (1, 0.05)
 
     def test_adjusted_tracks_filtered_count(self):
         stats = stats_from(TOY_REJECTING)
@@ -230,9 +283,9 @@ class TestAdaptiveBH:
         levels = []
         real = procedures._bh_threshold
 
-        def counted(fs, ss, m_t, alpha):
+        def counted(stats, alpha):
             levels.append(alpha)
-            return real(fs, ss, m_t, alpha)
+            return real(stats, alpha)
 
         monkeypatch.setattr(procedures, "_bh_threshold", counted)
         af.adafilter_bh(stats, 0.1, compute_adjusted=True)
@@ -422,6 +475,18 @@ class TestCurves:
             af.curves(stats, grid=np.array([-0.1, 0.5]))
         with pytest.raises(ValidationError):
             af.curves(stats, grid=np.array([[0.1]]))
+        # NaN passes every ordered comparison, so it needs its own rejection
+        with pytest.raises(ValidationError):
+            af.curves(stats, grid=np.array([0.1, np.nan]))
+        with pytest.raises(ValidationError):
+            af.curves(stats, grid=np.array([np.nan]))
+        with pytest.raises(ValidationError):
+            af.curves(stats, grid=np.array([0.1, np.inf]))
+        # alpha is checked whenever it is given, not only on the default grid
+        with pytest.raises(ValidationError):
+            af.curves(stats, grid=np.array([0.1]), alpha=5.0)
+        with pytest.raises(ValidationError):
+            af.curves(stats, grid=np.array([0.1]), alpha=float("nan"))
 
     def test_estimates_are_step_constants_between_breakpoints(self):
         rng = np.random.default_rng(53)
@@ -430,6 +495,8 @@ class TestCurves:
             stats = helpers.random_stats(rng, max_m=20)
         grid = np.sort(rng.uniform(0, 1, 50))
         table = af.curves(stats, grid=grid)
+        # the table holds a read-only copy; the caller's grid stays writable
+        assert grid.flags.writeable and not table.gamma.flags.writeable
         f = np.sort(stats.filter_p[stats.testable])
         s = np.sort(stats.select_p[stats.testable])
         for g, v, fdp in zip(table.gamma, table.v_hat, table.fdp_hat):
