@@ -104,7 +104,8 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     identifier per column. Error payloads report 1-based (row, column)
     positions since they describe input files.
     """
-    arr = np.array(values, dtype=np.float64, copy=True)
+    # adding 0.0 copies the input and turns each -0.0 into +0.0 (NaN stays NaN)
+    arr = np.asarray(values, dtype=np.float64) + 0.0
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d grid of p-values, got {arr.ndim} dimension(s)")
     n, m = arr.shape

@@ -18,7 +18,6 @@ and the exhaustive oracle therefore agree bit for bit.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -219,7 +218,8 @@ def adafilter_bonferroni(stats: FilterSelectStats, alpha: float) -> DecisionResu
     integer comparison with no rounding slack, and it holds exactly when the
     (k+1)-th smallest F exceeds alpha/k (k = M_t is always feasible). The
     count is nonincreasing in k, so the smallest feasible k gives the largest
-    feasible gamma.
+    feasible gamma. adjusted holds the smallest alpha that rejects each
+    hypothesis, whatever alpha is passed (_bonferroni_adjusted).
     """
     alpha = _check_alpha(alpha)
     m_t = _testable_count(stats)
@@ -228,11 +228,51 @@ def adafilter_bonferroni(stats: FilterSelectStats, alpha: float) -> DecisionResu
     feasible = np.append(~(stats.sorted_filter[1:] <= gammas[:-1]), True)
     k_star = int(np.argmax(feasible)) + 1
     gamma0 = float(gammas[k_star - 1])
-    adjusted = np.minimum(1.0, stats.select_p * k_star)
     return _decision(
         ProcedureKind.ADAFILTER_BONFERRONI, alpha, gamma0, stats.select_p, stats.testable,
-        adjusted, filtered_count=k_star,
+        _bonferroni_adjusted(stats), filtered_count=k_star,
     )
+
+
+def _bonferroni_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
+    """Smallest alpha at which adafilter_bonferroni rejects each j (1 if none up
+    to 1 does, 0 where S_j = 0, NaN where untestable); not monotone in alpha.
+
+    j is rejected at alpha exactly when some k has fl(alpha/k) >= S_j and
+    #{F <= fl(alpha/k)} <= k, and then k >= c_j = #{F <= S_j}. The smallest
+    alpha with fl(alpha/k) >= S_j, a_k, rises with k, so the answer is a_k at
+    the smallest k >= c_j with #{F <= fl(a_k/k)} <= k: c_j itself unless an F
+    value lies in the rounding gap between S_j and fl(a_k/k). a_k > 1 once
+    fl(1/c_j) < S_j, so only a prefix of the sorted S can get a value below 1.
+    """
+    out = np.where(stats.testable, 1.0, np.nan)
+    s = stats.sorted_select[: stats.counts(1.0)[1]]
+    k = np.maximum(stats.counts(s)[0], 1)
+    n = np.count_nonzero(s <= 1.0 / k)
+    if n == 0:
+        return out
+    s, k = s[:n], k[:n]
+    while True:
+        level = _smallest_level(s, k)
+        retry = (level <= 1.0) & (stats.counts(level / k)[0] > k)
+        if not retry.any():
+            break
+        k = k + retry
+    below = stats.testable & (stats.select_p <= s[-1])
+    out[below] = np.minimum(level, 1.0)[np.searchsorted(s, stats.select_p[below])]
+    return out
+
+
+def _smallest_level(s: NDArray[np.float64], k: NDArray[np.int64]) -> NDArray[np.float64]:
+    """Smallest float a with fl(a/k) >= s, elementwise: the float above fl(s*k)
+    qualifies, and the search steps down while the next float down does too."""
+    a = np.nextafter(s * k, np.inf)
+    while True:
+        down = np.nextafter(a, 0.0)
+        step = (down < a) & (down / k >= s)
+        if not step.any():
+            return a
+        a = np.where(step, down, a)
 
 
 def _grid_float(k: int, m: int, num: int, den: int) -> float:
@@ -245,28 +285,13 @@ def _grid_float(k: int, m: int, num: int, den: int) -> float:
     return (k * num) / (m * den)
 
 
-def _round_preimage(b: float) -> tuple[Fraction, bool]:
-    """Exact preimage of "rounds below b": {y : fl(y) < b} = {y < T} or {y <= T}.
-
-    T is the rounding boundary between b and its predecessor float; whether T
-    itself still rounds down depends on round-half-to-even, i.e. on the parity
-    of the predecessor's bit pattern.
-    """
-    p = math.nextafter(b, 0.0)
-    t = (Fraction(p) + Fraction(b)) / 2
-    bits = struct.unpack("<q", struct.pack("<d", p))[0]
-    return t, (bits & 1) == 0
-
-
 def _farey_left(f: Fraction, max_den: int) -> Fraction:
     """Largest fraction strictly below f with denominator <= max_den.
 
-    f must be reduced with denominator <= max_den. Uses the Farey-neighbor
-    identity a*y - b*x = 1 solved by a modular inverse.
+    f must be positive and reduced with denominator <= max_den. Uses the
+    Farey-neighbor identity a*y - b*x = 1 solved by a modular inverse.
     """
     a, b = f.numerator, f.denominator
-    if a <= 0:
-        return Fraction(0)
     if b == 1:
         return Fraction(a * max_den - 1, max_den)
     y0 = pow(a, -1, b)
@@ -275,93 +300,64 @@ def _farey_left(f: Fraction, max_den: int) -> Fraction:
     return Fraction(x, y)
 
 
-def _largest_grid_fraction(qbound: Fraction, inclusive: bool, max_den: int) -> Fraction:
-    """Largest q = k/m with 1 <= m <= max_den and q <= qbound (< if not inclusive).
+def _grid_value_below(hi: float, alpha_fraction: Fraction, max_den: int) -> float:
+    """Largest grid value fl(q*alpha) < hi, over q = k/m with 0 <= k <= m <= max_den.
 
-    The result is capped at 1 (grid fractions never exceed 1) and Fraction(0)
-    means no positive grid fraction qualifies.
+    Needs 0 < hi <= alpha. float() of a Fraction is correctly rounded, as
+    _grid_float is. A rational rounds below hi when it lies below the rounding
+    boundary T halfway between hi and its predecessor float (T itself may go
+    either way). So the grid fraction nearest T/alpha is the answer unless its
+    float reaches hi; then it is >= T/alpha and its left Farey neighbour,
+    strictly below T/alpha, is the answer.
     """
-    one = Fraction(1)
-    if qbound > one or (qbound == one and inclusive):
-        return one
-    if qbound <= 0:
-        return Fraction(0)
-    c = qbound.limit_denominator(max_den)
-    if c > qbound or (not inclusive and c == qbound):
-        c = _farey_left(c, max_den)
-    return c if c > 0 else Fraction(0)
+    t = (Fraction(math.nextafter(hi, 0.0)) + Fraction(hi)) / 2
+    q = (t / alpha_fraction).limit_denominator(max_den)
+    if float(q * alpha_fraction) >= hi:
+        q = _farey_left(q, max_den)
+    return float(q * alpha_fraction)
 
 
 def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
     """Largest feasible grid value for the adaptive BH procedure.
 
-    Scans the intervals between consecutive breakpoints (the F and S values
-    up to alpha) from the top down. Within one interval the counts are
-    constant, so the best feasible grid fraction is cS/cF; its float either
-    lands in the interval (done), or overshoots, in which case the largest
-    grid fraction mapping strictly below the interval's upper edge is found
-    exactly with rational arithmetic. Heavily tied inputs may hit the
-    rational fallback often; continuous inputs almost never do.
+    The breakpoints 0, alpha and the F and S values up to alpha cut [0, inf)
+    into intervals [lo, hi), the top one [alpha, inf). The counts cF and cS
+    are constant on each, so a grid value fl(k*alpha/m) in [lo, hi) is
+    feasible exactly when k/m <= cS/cF. The scan goes from the top interval
+    down and returns the first feasible value it meets, since every later
+    interval lies below lo. With g = fl(alpha * min(1, cS/cF)):
+
+    - lo <= g < hi: g is the answer;
+    - g >= hi: every grid value below hi has k/m < cS/cF, so the largest one
+      (_grid_value_below) is the answer if it is >= lo;
+    - g < lo: the interval holds no feasible value.
+
+    The bottom interval starts at the always feasible 0, so the scan ends
+    there at the latest. A screening pass skips intervals that cannot hold a
+    feasible value.
     """
     num, den = alpha.as_integer_ratio()
     m_t = _testable_count(stats)
-
-    # gamma = alpha is the grid maximum; feasible iff #{F<=a} <= #{S<=a}
     cf_alpha, cs_alpha = stats.counts(alpha)
-    if cf_alpha <= cs_alpha:
-        return alpha
-
     inner = (stats.sorted_filter[:cf_alpha], stats.sorted_select[:cs_alpha])
-    edges = np.unique(np.concatenate([np.array([0.0, alpha]), *inner]))
-    lower = edges[:-1]
-    upper = edges[1:]
+    lower = np.unique(np.concatenate([np.array([0.0, alpha]), *inner]))
+    upper = np.append(lower[1:], np.inf)
     c_f, c_s = stats.counts(lower)
 
     # screening: an interval can contribute only if alpha*cS/cF reaches its
     # lower edge (within two-step rounding slack, hence the 1e-9 margin)
-    bound = np.full(lower.shape[0], alpha)
-    pos = c_f > 0
-    bound[pos] = (c_s[pos] * alpha) / c_f[pos]
-    np.minimum(bound, alpha, out=bound)
+    bound = np.where(c_f > 0, (c_s * alpha) / np.maximum(c_f, 1), alpha)
     flagged = bound >= lower * (1.0 - 1e-9)
 
-    best = 0.0
-    alpha_frac: Fraction | None = None
     for t in np.flatnonzero(flagged)[::-1]:
-        lo = float(lower[t])
-        hi = float(upper[t])
-        cf_t = int(c_f[t])
-        cs_t = int(c_s[t])
-        if cf_t == 0 or cs_t >= cf_t:
-            k, m = 1, 1
-        else:
-            k, m = cs_t, cf_t
-        if k > 0:
-            g = _grid_float(k, m, num, den)
-            if g >= lo:
-                if g < hi:
-                    cf_g, cs_g = stats.counts(g)
-                    if k * cf_g <= m * cs_g:
-                        best = max(best, g)
-                else:
-                    t_bound, inclusive = _round_preimage(hi)
-                    if alpha_frac is None:
-                        alpha_frac = Fraction(num, den)
-                    qbound = t_bound / alpha_frac
-                    if 0 < cs_t < cf_t:
-                        cap = Fraction(cs_t, cf_t)
-                        if cap < qbound or (cap == qbound and not inclusive):
-                            qbound, inclusive = cap, True
-                    q = _largest_grid_fraction(qbound, inclusive, m_t)
-                    if q > 0:
-                        k2, m2 = q.numerator, q.denominator
-                        g2 = _grid_float(k2, m2, num, den)
-                        cf_g, cs_g = stats.counts(g2)
-                        if g2 >= lo and k2 * cf_g <= m2 * cs_g:
-                            best = max(best, g2)
-        if best >= lo:
-            break
-    return best
+        lo, hi = float(lower[t]), float(upper[t])
+        cf_t, cs_t = int(c_f[t]), int(c_s[t])
+        g = alpha if cs_t >= cf_t else _grid_float(cs_t, cf_t, num, den)
+        if g >= hi:
+            g = _grid_value_below(hi, Fraction(num, den), m_t)
+        if g >= lo:
+            return g
+    raise AssertionError("the bottom interval [0, hi) holds the feasible grid value 0")
 
 
 def adafilter_bh(

@@ -106,8 +106,48 @@ def adafilter_bonferroni_twostep(stats: af.FilterSelectStats, alpha: float) -> a
         filtered_count=m,
         rejected=stats.testable & (stats.select_p <= gamma0),
         untestable=~stats.testable,
-        adjusted=np.minimum(1.0, stats.select_p * m),
     )
+
+
+def smallest_float_with_quotient_at_least(s: float, k: int) -> float:
+    """Smallest float a >= 0 with fl(a / k) >= s, by bisection on the bit
+    patterns of the nonnegative floats (which order them)."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.int64(mid).view(np.float64) / k >= s:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(np.int64(lo).view(np.float64))
+
+
+def adafilter_bonferroni_adjusted_oracle(stats: af.FilterSelectStats):
+    """Smallest alpha in (0, 1] at which adafilter_bonferroni rejects each j.
+
+    Any rejecting alpha has gamma0 = alpha/k* >= S_j, so it is at least
+    a_k = the smallest float with fl(a_k/k) >= S_j for k = k*, and j is
+    rejected at a_k too. The oracle therefore tries a_1 <= a_2 <= ... (in k
+    order) and runs the procedure at each, stopping at the first that rejects
+    j or exceeds 1. 0 where S_j = 0, 1 where no level up to 1 rejects, NaN
+    where j is untestable.
+    """
+    out = np.where(stats.testable, 1.0, np.nan)
+    rejected_at = {}
+    for j in np.flatnonzero(stats.testable):
+        for k in range(1, stats.n_testable + 1):
+            a = smallest_float_with_quotient_at_least(float(stats.select_p[j]), k)
+            if a > 1.0:
+                break
+            if a == 0.0:
+                out[j] = 0.0
+                break
+            if a not in rejected_at:
+                rejected_at[a] = af.adafilter_bonferroni(stats, a).rejected
+            if rejected_at[a][j]:
+                out[j] = a
+                break
+    return out
 
 
 def read_outcome(read, path: str):

@@ -192,12 +192,15 @@ class TestCmdTest:
         assert "gamma0 = 0.025" in capsys.readouterr().out
 
     def test_reported_pvalues_capped_and_na(self, tmp_path):
-        csv_text = "id,s1,s2,s3\ng1,0.9,0.95,0.99\ng2,0.01,0.02,NA\ng3,0.5,NA,NA\n"
+        csv_text = (
+            "id,s1,s2,s3\ng1,0.9,0.95,0.99\ng2,0.01,0.02,NA\ng3,0.5,NA,NA\ng4,-0,-0,0.5\n"
+        )
         got = self.run(tmp_path, csv_text, method="adafilter-bonferroni", r=2)
         lines = got.decode().splitlines()
         assert lines[1] == "g1\t1\t1\t0\t0"  # raw 1.8/1.9 capped for display
         assert lines[2].startswith("g2\t0.01\t0.02\t")  # n_j=2 means multiplier 1
         assert lines[3] == "g3\tNA\tNA\t0\t1"
+        assert lines[4] == "g4\t0\t0\t1\t0"  # a "-0" cell is read as +0
 
     def test_empty_rejection_set_is_success(self, tmp_path, capsys):
         self.run(
@@ -300,13 +303,15 @@ class TestCmdCurve:
     def test_breakpoints_only_without_alpha(self, tmp_path):
         out = tmp_path / "curve.tsv"
         args = cli_args(
-            input=write(tmp_path, "in.csv", TOY_CSV),
+            input=write(tmp_path, "in.csv", TOY_CSV + "g4,-0,-0\n"),
             output=str(out),
             r=2,
         )
         cmd_curve(args)
-        gammas = [row.split("\t")[0] for row in out.read_text().splitlines()[1:]]
+        text = out.read_text()
+        gammas = [row.split("\t")[0] for row in text.splitlines()[1:]]
         assert gammas == ["0", "0.03", "0.04", "0.2", "0.9"]
+        assert not any(field.startswith("-") for field in text.split())
 
     def test_grid_collapses_to_zero_when_everything_exceeds_one(self, tmp_path):
         csv_text = "id,s1,s2,s3\ng1,0.9,0.95,0.99\n"  # F=1.8, S=1.9

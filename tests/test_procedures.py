@@ -14,12 +14,7 @@ from adafilter.errors import (
     ReplicabilityLevelOutOfRange,
     ValidationError,
 )
-from adafilter.procedures import (
-    _farey_left,
-    _grid_float,
-    _largest_grid_fraction,
-    _round_preimage,
-)
+from adafilter.procedures import _farey_left, _grid_float, _grid_value_below
 import helpers
 
 NAN = float("nan")
@@ -163,11 +158,34 @@ class TestAdaptiveBonferroni:
         res = af.adafilter_bonferroni(stats, 0.05)
         assert (res.filtered_count, res.gamma0) == (1, 0.05)
 
-    def test_adjusted_tracks_filtered_count(self):
-        stats = stats_from(TOY_REJECTING)
+    def test_adjusted_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(19)
+        done = 0
+        while done < 150:
+            stats = helpers.random_stats(rng, max_m=30)
+            if stats is None:
+                continue
+            done += 1
+            res = af.adafilter_bonferroni(stats, helpers.random_alpha(rng))
+            want = helpers.adafilter_bonferroni_adjusted_oracle(stats)
+            np.testing.assert_array_equal(res.adjusted, want)
+
+    def test_adjusted_skips_an_infeasible_rounding_gap(self):
+        # fl(a/3) cannot equal s for any float a: the smallest a with
+        # fl(a/3) >= s gives the next float x, and the F planted at x makes
+        # k = 3 infeasible there, so the smallest rejecting level is 4*s
+        s = 0.013251083656922211
+        x = math.nextafter(s, 1.0)
+        stats = stats_from_fs([s / 10, 0.001, 0.002, x], [s, 0.9, 0.9, x])
+        a3 = helpers.smallest_float_with_quotient_at_least(s, 3)
+        assert a3 / 3 == x
+        assert not af.adafilter_bonferroni(stats, a3).rejected[0]
         res = af.adafilter_bonferroni(stats, 0.05)
+        assert res.adjusted[0] == 4 * s
+        assert af.adafilter_bonferroni(stats, 4 * s).rejected[0]
+        assert not af.adafilter_bonferroni(stats, math.nextafter(4 * s, 0.0)).rejected[0]
         np.testing.assert_array_equal(
-            res.adjusted, np.minimum(1.0, stats.select_p * res.filtered_count)
+            res.adjusted, helpers.adafilter_bonferroni_adjusted_oracle(stats)
         )
 
     def test_alpha_validation(self):
@@ -328,25 +346,36 @@ class TestOracleAgreement:
             slow = af.adafilter_bh_oracle(stats, alpha)
             assert helpers.results_equal(fast, slow), (stats.filter_p, alpha)
 
-    def test_fast_search_matches_oracle_on_grid_ties(self):
-        # plant F and S values exactly on candidate grid points k*alpha/m,
-        # where feasibility flips within one rounding step
+    def test_fast_search_matches_oracle_on_grid_ties(self, monkeypatch):
+        # plant F and S values exactly on candidate grid points k*alpha/m and
+        # on their float neighbours, where feasibility flips within one
+        # rounding step and the exact rational search has to run
+        below_calls = []
+        real = procedures._grid_value_below
+
+        def counted(*args):
+            below_calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(procedures, "_grid_value_below", counted)
         rng = np.random.default_rng(31)
         for trial in range(300):
             m_t = int(rng.integers(1, 12))
             alpha = helpers.random_alpha(rng)
             num, den = alpha.as_integer_ratio()
-            points = [
+            grid = [
                 _grid_float(k, m, num, den)
                 for m in range(1, m_t + 1)
                 for k in range(1, m + 1)
             ]
+            points = grid + [math.nextafter(g, side) for g in grid for side in (0.0, 2.0)]
             f = rng.choice(points, size=m_t)
             s = np.maximum(f, rng.choice(points, size=m_t))
             stats = stats_from_fs(f, np.minimum(s, 1.0) if rng.random() < 0.5 else s)
             fast = af.adafilter_bh(stats, alpha)
             slow = af.adafilter_bh_oracle(stats, alpha)
             assert helpers.results_equal(fast, slow), (f, s, alpha)
+        assert len(below_calls) >= 50
 
 
 class TestDecisionInvariants:
@@ -519,18 +548,20 @@ class TestGridArithmetic:
             assert got == want
 
     def test_round_preimage_brackets_the_rounding_boundary(self):
+        # _grid_value_below decides "rounds below b" at the boundary T between
+        # b and its predecessor float. With max_den = 2 and alpha = 2c the grid
+        # is {0, fl(c), fl(2c)}, so placing c just below, at, and just above T
+        # checks that the helper keeps exactly the values that round below b.
         rng = np.random.default_rng(61)
         values = list(10.0 ** rng.uniform(-12, 0, 300)) + [0.05, 0.25, 1.0, 2.0]
         for b in values:
-            t, inclusive = _round_preimage(b)
+            t = (Fraction(math.nextafter(b, 0.0)) + Fraction(b)) / 2
             eps = Fraction(1, 2**80) * t
-            below, at, above = float(t - eps), float(t), float(t + eps)
-            assert below < b
-            assert above >= b
-            if inclusive:
-                assert at < b
-            else:
-                assert at >= b
+            assert float(t - eps) < b
+            assert float(t + eps) >= b
+            for c in (t - eps, t, t + eps):
+                want = float(c) if float(c) < b else 0.0
+                assert _grid_value_below(b, 2 * c, 2) == want, (b, c)
 
     def test_farey_left_matches_brute_force(self):
         # precondition of the helper: the input fraction already has
@@ -547,22 +578,40 @@ class TestGridArithmetic:
                     best = Fraction(p, q)
             assert got == best, (f, max_den)
 
-    def test_largest_grid_fraction_matches_brute_force(self):
+    def test_grid_value_below_matches_brute_force(self):
         rng = np.random.default_rng(71)
+        # the round levels, then draws that cover every kind random_alpha makes
+        alphas = [0.01, 0.05, 0.1, 0.2, 0.5, 1.0] + [helpers.random_alpha(rng) for _ in range(24)]
+        for alpha in alphas:
+            a = Fraction(alpha)
+            for max_den in range(1, 13):
+                grid = sorted({
+                    float(Fraction(k, m) * a) for m in range(1, max_den + 1) for k in range(m + 1)
+                })
+                his = {alpha}
+                for g in grid:
+                    his.update((g, math.nextafter(g, 0.0), math.nextafter(g, 2.0)))
+                for hi in his:
+                    if 0.0 < hi <= alpha:
+                        want = max(g for g in grid if g < hi)
+                        assert _grid_value_below(hi, a, max_den) == want, (hi, alpha, max_den)
+
+    def test_largest_grid_fraction_matches_brute_force(self):
+        # random bounds hi in (0, alpha]: continuous draws, and floats of
+        # rationals whose denominators go past max_den
+        rng = np.random.default_rng(73)
         for _ in range(400):
             max_den = int(rng.integers(1, 13))
-            qbound = Fraction(int(rng.integers(0, 60)), int(rng.integers(1, 60)))
-            inclusive = bool(rng.integers(2))
-            got = _largest_grid_fraction(qbound, inclusive, max_den)
-            candidates = [
-                Fraction(k, m)
-                for m in range(1, max_den + 1)
-                for k in range(1, m + 1)
-            ]
-            ok = [
-                c
-                for c in candidates
-                if (c <= qbound if inclusive else c < qbound)
-            ]
-            # zero is always available in the threshold grid
-            assert got == max(ok, default=Fraction(0)), (qbound, inclusive, max_den)
+            alpha = helpers.random_alpha(rng)
+            a = Fraction(alpha)
+            if rng.integers(2):
+                hi = alpha * (1.0 - rng.random())
+            else:
+                qbound = Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 60)))
+                hi = float(min(qbound, Fraction(1)) * a)
+            if not 0.0 < hi <= alpha:
+                continue
+            grid = {float(Fraction(k, m) * a) for m in range(1, max_den + 1) for k in range(m + 1)}
+            # zero is always in the grid
+            want = max(g for g in grid if g < hi)
+            assert _grid_value_below(hi, a, max_den) == want, (hi, alpha, max_den)
