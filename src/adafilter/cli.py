@@ -13,21 +13,13 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .baselines import run_procedure
 from .errors import AdaFilterError, ValidationError
 from .pc_core import PCCombinerKind
 from .procedures import Procedure, ProcedureKind, compute_filter_select, curves
-from .simlab import default_panel_procedures, load_scenarios, run_panels
-from .tables import (
-    atomic_output,
-    format_float,
-    ingest_csv,
-    write_columns,
-    write_curves_tsv,
-    write_metrics_tsv,
-)
+from .simlab import default_panel_procedures, run_panels
+from .tables import atomic_output, format_float, ingest_csv, load_scenarios
+from .tables import write_curves_tsv, write_decisions_tsv, write_metrics_tsv
 
 __all__ = ["ingest_csv", "cmd_test", "cmd_simulate", "cmd_curve", "main"]
 
@@ -42,17 +34,9 @@ def cmd_test(args: argparse.Namespace) -> int:
     stats = compute_filter_select(matrix, args.r)
     result = run_procedure(matrix, args.r, proc)
 
-    columns = {
-        "id": matrix.ids,
-        "filter_p": np.minimum(stats.filter_p, 1.0),
-        "select_p": np.minimum(stats.select_p, 1.0),
-    }
-    if combiner is not None:
-        columns["pc_pvalue"] = np.minimum(matrix.pc_pvalues(args.r, combiner), 1.0)
-    columns["rejected"] = result.rejected
-    columns["untestable"] = result.untestable
+    pc_pvalues = None if combiner is None else matrix.pc_pvalues(args.r, combiner)
     with atomic_output(args.output) as fh:
-        write_columns(fh, columns)
+        write_decisions_tsv(matrix.ids, stats, pc_pvalues, result, fh)
 
     print(f"gamma0 = {format_float(result.gamma0)}")
     if result.filtered_count is not None:

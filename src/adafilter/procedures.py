@@ -101,6 +101,14 @@ class FilterSelectStats:
     select_p: NDArray[np.float64]
     testable: NDArray[np.bool_]
 
+    def __post_init__(self) -> None:
+        arrays = (self.filter_p, self.select_p, self.testable)
+        one_dim = all(isinstance(a, np.ndarray) and a.ndim == 1 for a in arrays)
+        if not one_dim or len({a.shape for a in arrays}) != 1:
+            raise ValidationError("filter_p, select_p and testable must be 1-d arrays of one size")
+        if self.testable.dtype != np.bool_:
+            raise ValidationError(f"testable must be boolean, got dtype {self.testable.dtype}")
+
     @property
     def n_hypotheses(self) -> int:
         return self.filter_p.shape[0]

@@ -6,6 +6,7 @@ block-correlated Gaussian Z-values whose non-null means are calibrated to
 hit named detection powers. run_panels replays B independent replications
 of each scenario, runs every requested procedure on the same draws, and
 reports PFER, FDR and recall with normal-approximation confidence intervals.
+Scenario files are read, and metrics tables written, by `tables`.
 
 Randomness is counter-based (Philox) and keyed by
 (master_seed, replication, stream), where stream 0 draws the truth
@@ -18,17 +19,16 @@ import concurrent.futures
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NoConvergence, ParseError, ValidationError
+from .errors import NoConvergence, ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix
 from .procedures import Procedure, ProcedureKind
 from .baselines import run_procedure
-from .tables import open_input
 
 __all__ = [
     "SimScenario",
@@ -41,7 +41,6 @@ __all__ = [
     "sample_pvalues",
     "run_panel",
     "run_panels",
-    "load_scenarios",
 ]
 
 
@@ -399,83 +398,3 @@ def _report(
         for i, proc in enumerate(procedures)
     )
     return MetricsReport(scenario=scenario, metrics=metrics)
-
-
-# scenario files: flat "key = value" lines, # comments, keys matching SimScenario
-# fields; n and r accept comma lists of equal length (paired), pi0 and
-# block_size accept comma lists (crossed); power_targets is a 4-value list
-
-_LIST_KEYS = {"n", "r", "pi0", "block_size"}
-_INT_KEYS = {"M", "n", "r", "block_size", "replications", "master_seed"}
-_REQUIRED_KEYS = {"M", "n", "r", "pi0", "pi_rn", "rho", "block_size", "replications", "master_seed"}
-_ALL_KEYS = {f.name for f in fields(SimScenario)}
-
-
-def load_scenarios(path: str) -> list[SimScenario]:
-    """Parse a scenario file, expanding list-valued keys into a scenario grid."""
-    raw: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    with open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError(f"expected 'key = value', got {text!r}", lineno)
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _ALL_KEYS:
-                raise ParseError(f"unknown scenario key {key!r}", lineno)
-            if key in raw:
-                raise ParseError(f"duplicate scenario key {key!r}", lineno)
-            if not value:
-                raise ParseError(f"empty value for {key!r}", lineno)
-            raw[key] = value
-            lines[key] = lineno
-
-    missing = sorted(_REQUIRED_KEYS - raw.keys())
-    if missing:
-        raise ParseError(f"missing scenario keys: {', '.join(missing)}")
-
-    def parse_one(key: str, token: str) -> object:
-        try:
-            return int(token) if key in _INT_KEYS else float(token)
-        except ValueError:
-            raise ParseError(f"bad value {token!r} for {key!r}", lines.get(key)) from None
-
-    values: dict[str, object] = {}
-    for key, text in raw.items():
-        if key == "power_targets":
-            parts = [p.strip() for p in text.split(",")]
-            if len(parts) != 4:
-                raise ParseError("power_targets needs exactly 4 values", lines[key])
-            values[key] = tuple(parse_one(key, p) for p in parts)
-        elif key in _LIST_KEYS:
-            values[key] = [parse_one(key, p.strip()) for p in text.split(",")]
-        else:
-            values[key] = parse_one(key, text)
-
-    n_list = values["n"]
-    r_list = values["r"]
-    if len(n_list) != len(r_list):
-        raise ParseError(
-            f"n and r lists must pair up, got {len(n_list)} and {len(r_list)} entries",
-            lines["n"],
-        )
-    pi0_list = values["pi0"]
-    block_list = values["block_size"]
-
-    fixed = {
-        k: v
-        for k, v in values.items()
-        if k not in ("n", "r", "pi0", "block_size")
-    }
-    scenarios = []
-    for n_val, r_val in zip(n_list, r_list):
-        for pi0_val in pi0_list:
-            for b_val in block_list:
-                scenarios.append(
-                    SimScenario(n=n_val, r=r_val, pi0=pi0_val, block_size=b_val, **fixed)
-                )
-    return scenarios

@@ -1,8 +1,10 @@
 """The file edge, the only module that knows the file formats.
 
-Inputs (CSV p-value matrices, scenario files) are UTF-8. Output tables are
-tab-separated with LF endings and put in place only once complete; floats
-carry 12 significant digits, flags are 1/0, and NA is a missing value both ways.
+It reads CSV p-value matrices and scenario files, and writes the decisions
+table of `adafilter test`, the curves table and the metrics table. Inputs
+are UTF-8. Output tables are tab-separated with LF endings and put in place
+only once complete; floats carry 12 significant digits, flags are 1/0, and
+NA is a missing value both ways.
 """
 from __future__ import annotations
 
@@ -14,24 +16,24 @@ import stat
 import sys
 import warnings
 from collections.abc import Iterator, Mapping, Sequence
-from typing import TYPE_CHECKING
+from dataclasses import MISSING, fields
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DuplicateIdentifier, OutOfRangeEntry, ParseError
 from .pc_core import PValueMatrix, validate_matrix
-
-if TYPE_CHECKING:
-    from .procedures import CurveTable
-    from .simlab import MetricsReport
+from .procedures import CurveTable, DecisionResult, FilterSelectStats
+from .simlab import MetricsReport, ProcedureMetrics, SimScenario
 
 __all__ = [
     "ingest_csv",
+    "load_scenarios",
     "open_input",
     "atomic_output",
     "write_columns",
     "format_float",
+    "write_decisions_tsv",
     "write_metrics_tsv",
     "write_curves_tsv",
 ]
@@ -167,6 +169,58 @@ def _parse_cells(record: list[str], lineno: int, row: int) -> list[float]:
     return parsed
 
 
+# Scenario files: "key = value" lines and # comments. The keys are the SimScenario
+# fields, required where there is no default, int where annotated "int", else float.
+# n and r lists are paired, pi0 and block_size lists crossed, power_targets 4 values.
+_SCENARIO_TYPES = {f.name: int if f.type == "int" else float for f in fields(SimScenario)}
+_SCENARIO_COLUMNS = tuple(f.name for f in fields(SimScenario) if f.default is MISSING)
+_SCENARIO_LISTS = ("n", "r", "pi0", "block_size", "power_targets")
+
+
+def load_scenarios(path: str) -> list[SimScenario]:
+    """Parse a scenario file, expanding list-valued keys into a scenario grid."""
+    raw: dict[str, tuple[str, int]] = {}
+    with open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ParseError(f"expected 'key = value', got {text!r}", lineno)
+            key, _, value = (part.strip() for part in text.partition("="))
+            if key not in _SCENARIO_TYPES:
+                raise ParseError(f"unknown scenario key {key!r}", lineno)
+            if key in raw:
+                raise ParseError(f"duplicate scenario key {key!r}", lineno)
+            if not value:
+                raise ParseError(f"empty value for {key!r}", lineno)
+            raw[key] = value, lineno
+    missing = sorted(set(_SCENARIO_COLUMNS) - raw.keys())
+    if missing:
+        raise ParseError(f"missing scenario keys: {', '.join(missing)}")
+    values: dict[str, object] = {}
+    for key, (text, lineno) in raw.items():
+        tokens = [t.strip() for t in text.split(",")] if key in _SCENARIO_LISTS else [text]
+        if key == "power_targets" and len(tokens) != 4:
+            raise ParseError("power_targets needs exactly 4 values", lineno)
+        parsed = []
+        for token in tokens:
+            try:
+                parsed.append(_SCENARIO_TYPES[key](token))
+            except ValueError:
+                raise ParseError(f"bad value {token!r} for {key!r}", lineno) from None
+        values[key] = tuple(parsed) if key in _SCENARIO_LISTS else parsed[0]
+    n_list, r_list, pi0_list, block_list = (values.pop(key) for key in _SCENARIO_LISTS[:4])
+    if len(n_list) != len(r_list):
+        raise ParseError(
+            f"n and r lists must pair up, got {len(n_list)} and {len(r_list)} entries", raw["n"][1]
+        )
+    return [
+        SimScenario(n=n, r=r, pi0=pi0, block_size=block_size, **values)
+        for n, r in zip(n_list, r_list) for pi0 in pi0_list for block_size in block_list
+    ]
+
+
 @contextlib.contextmanager
 def open_input(path: str, newline: str | None = None) -> Iterator:
     """Open a UTF-8 text input; an undecodable byte becomes a ParseError naming its line."""
@@ -262,15 +316,30 @@ def format_float(x: float) -> str:
     return _MISSING_TOKEN if x != x else "%.12g" % x
 
 
-_SCENARIO_COLUMNS = ("M", "n", "r", "pi0", "pi_rn", "rho", "block_size", "replications", "master_seed")
-_PROCEDURE_COLUMNS = (
-    "procedure", "alpha", "pfer_mean", "pfer_ci95", "fdr_mean", "fdr_ci95", "recall_mean", "recall_ci95"
-)
+# replications is a scenario column already
+_PROCEDURE_COLUMNS = tuple(f.name for f in fields(ProcedureMetrics) if f.name != "replications")
 
 
 def _cell(value: object) -> str:
     # per value: an array of mixed ints would turn a 64-bit seed into a float
     return format_float(value) if isinstance(value, float) else str(value)
+
+
+def write_decisions_tsv(
+    ids: Sequence[str], stats: FilterSelectStats, pc_pvalues: NDArray | None,
+    result: DecisionResult, fh,
+) -> None:
+    """One row per hypothesis: id, F and S capped at 1, the PC p-value if given, and the flags."""
+    columns = {
+        "id": ids,
+        "filter_p": np.minimum(stats.filter_p, 1.0),
+        "select_p": np.minimum(stats.select_p, 1.0),
+    }
+    if pc_pvalues is not None:
+        columns["pc_pvalue"] = pc_pvalues
+    columns["rejected"] = result.rejected
+    columns["untestable"] = result.untestable
+    write_columns(fh, columns)
 
 
 def write_metrics_tsv(reports: list[MetricsReport], fh) -> None:

@@ -118,6 +118,21 @@ class TestComputeFilterSelect:
         with pytest.raises(ReplicabilityLevelOutOfRange):
             stats_from(TOY_REJECTING, r=3)
 
+    @pytest.mark.parametrize(
+        "filter_p, select_p, testable",
+        [
+            ([0.1, 0.2], [0.3], [True, True]),  # lengths differ
+            ([[0.1, 0.2]], [[0.3, 0.4]], [[True, True]]),  # 2-d
+            (0.1, 0.3, True),  # 0-d
+            ([0.1, 0.2], [0.3, 0.4], [1, 1]),  # testable is not boolean
+        ],
+    )
+    def test_hand_built_stats_are_checked(self, filter_p, select_p, testable):
+        with pytest.raises(ValidationError):
+            af.FilterSelectStats(np.array(filter_p), np.array(select_p), np.array(testable))
+        with pytest.raises(ValidationError, match="1-d arrays"):  # a list is not an array
+            af.FilterSelectStats(filter_p, np.array(select_p), np.array(testable))
+
     def test_filter_never_exceeds_select(self):
         rng = np.random.default_rng(5)
         done = 0

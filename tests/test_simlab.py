@@ -489,6 +489,8 @@ class TestScenarioFiles:
             ("M =", "empty value"),
             ("r = 2", "pair up"),  # n has two entries, r one
             ("M = 1000\npower_targets = 0.1, abc, 0.5, 0.9", "line 3: bad value 'abc'"),
+            # the count is checked before any value is parsed
+            ("M = 1000\npower_targets = 0.1, abc", "line 3: power_targets needs exactly 4 values"),
         ],
     )
     def test_malformed_files(self, tmp_path, mutation, message):

@@ -1,6 +1,7 @@
 """The file edge: one module reads and writes every file format, by one rule."""
 
 import ast
+import dataclasses
 import io
 import pathlib
 
@@ -10,6 +11,7 @@ import adafilter as af
 from adafilter.tables import write_columns
 
 FILE_CALLS = {"open", "os.open", "os.replace", "csv.reader", "np.loadtxt"}
+EDGE_NAMES = {"open_input", "write_columns", "ParseError"}
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -32,6 +34,51 @@ def test_only_tables_opens_files_or_spells_the_missing_token():
     # the scan sees every call it looks for, and the token is defined once
     assert {what for _, _, what in found} == FILE_CALLS | {"NA"}
     assert [what for _, _, what in found].count("NA") == 1
+
+
+def test_only_tables_imports_the_edge_helpers_or_parse_errors():
+    # errors.py defines ParseError and __init__.py re-exports it
+    allowed = {"tables.py": EDGE_NAMES, "errors.py": {"ParseError"}, "__init__.py": {"ParseError"}}
+    found = []
+    for path in sorted(pathlib.Path(af.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):  # module.name after a plain import
+                names = {node.attr}
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in sorted(names & EDGE_NAMES)]
+    assert [f for f in found if f[2] not in allowed.get(f[0], set())] == []
+    # the scan sees the imports it looks for
+    assert {(name, what) for name, _, what in found} == {
+        ("tables.py", "ParseError"), ("__init__.py", "ParseError")
+    }
+
+
+def test_metrics_scenario_columns_are_the_keys_a_scenario_file_must_set(tmp_path):
+    full = {
+        "M": "100", "n": "2", "r": "2", "pi0": "0.9", "pi_rn": "0.05", "rho": "0",
+        "block_size": "10", "replications": "3", "master_seed": "5",
+        "power_targets": "0.1, 0.2, 0.3, 0.4", "calibration_alpha": "0.01",
+    }
+    assert list(full) == [f.name for f in dataclasses.fields(af.SimScenario)]
+    path = tmp_path / "one.scenario"
+    required = []
+    for key in full:
+        path.write_text("".join(f"{k} = {v}\n" for k, v in full.items() if k != key))
+        try:
+            af.load_scenarios(str(path))
+        except af.ParseError as exc:
+            assert str(exc) == f"missing scenario keys: {key}"
+            required.append(key)
+    path.write_text("".join(f"{k} = {v}\n" for k, v in full.items()))
+    (sc,) = af.load_scenarios(str(path))
+    pm = af.ProcedureMetrics("adafilter-bh", 0.2, 0.5, 0.1, 0.2, 0.0, 1.0, 0.25, 3)
+    buf = io.StringIO()
+    af.write_metrics_tsv([af.MetricsReport(scenario=sc, metrics=(pm,))], buf)
+    header = buf.getvalue().split("\n")[0].split("\t")
+    assert header[: header.index("procedure")] == required
 
 
 def test_write_columns_formats_each_column_by_its_dtype():
