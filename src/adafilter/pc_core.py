@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -183,9 +183,76 @@ def pc_pvalue(column: object, r: int, kind: PCCombinerKind) -> float:
     return float(matrix.pc_pvalues(r, kind)[0])
 
 
+# Row count up to which _sort_columns runs the comparator network. At n = 32
+# it took 3.5 ms against np.sort's 8.0 ms at M = 1e4 and 0.54 s against 1.02 s
+# at M = 1e6. It wins further up too, but it makes three numpy calls per
+# comparator, about 2.7 us each at any M, and the comparators grow as
+# n log^2 n (191 at n = 32, 1007 at 96): one column of 96 took 2.7 ms, not 2 us.
+_NETWORK_MAX_ROWS = 32
+# columns sorted at a time, so that every row of a block stays in cache: at
+# 1e6 x 8 the network took 58 ms in blocks against 121 ms over whole rows
+_NETWORK_BLOCK = 16384
+
+
 def _column_sorted(values: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Sort each column ascending; NaN entries land at the bottom."""
-    return np.sort(values, axis=0, kind="stable")
+    """Sort each column ascending; NaN entries land at the bottom.
+
+    Bit-identical to np.sort(values, axis=0, kind="stable") for entries in
+    [0, 1] without -0.0 (validate_matrix's domain): NaN is sorted as +inf,
+    which no such entry equals, and put back afterwards. The result is
+    C-ordered whatever the input's layout (the CSV reader hands over a
+    transpose), so the sort and the combiners read whole rows.
+    """
+    out = np.array(values, order="C")
+    missing = np.isnan(out)
+    if not missing.any():
+        _sort_columns(out)
+        return out
+    np.copyto(out, np.inf, where=missing)
+    _sort_columns(out)
+    np.copyto(out, np.nan, where=np.isinf(out))
+    return out
+
+
+def _sort_columns(a: NDArray[np.float64]) -> None:
+    """Sort each column of a C-ordered, NaN-free array in place.
+
+    Up to _NETWORK_MAX_ROWS rows this runs Batcher's odd-even merge network
+    (Knuth, TAOCP 3, 5.3.4, Algorithm M): each comparator is one np.minimum
+    and one np.maximum over two whole rows, which beats numpy's strided
+    per-column sort. Equal values are bitwise equal, so the result matches
+    any sort. Above that, ndarray.sort.
+    """
+    n, m = a.shape
+    if n > _NETWORK_MAX_ROWS:
+        a.sort(axis=0, kind="stable")
+        return
+    pairs = _merge_exchange_pairs(n)
+    low = np.empty(min(m, _NETWORK_BLOCK))
+    for start in range(0, m, _NETWORK_BLOCK):
+        block = a[:, start : start + _NETWORK_BLOCK]
+        buf = low[: block.shape[1]]
+        for i, j in pairs:
+            np.minimum(block[i], block[j], out=buf)
+            np.maximum(block[i], block[j], out=block[j])
+            block[i] = buf
+
+
+@lru_cache(maxsize=None)
+def _merge_exchange_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (i, j), i < j, of Batcher's merge exchange for n keys, in order."""
+    pairs = []
+    t = max(n - 1, 0).bit_length()
+    p = 1 << t >> 1
+    while p > 0:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(pairs)
 
 
 def _pc_pvalues_from_sorted(
@@ -197,7 +264,10 @@ def _pc_pvalues_from_sorted(
     """Vectorized PC p-values for every column of a pre-sorted matrix.
 
     Columns with n_j < r get NaN. Columns are processed in groups sharing
-    the same n_j so each group is a plain 2-d slice.
+    the same n_j, each group's tail a C-ordered (k, columns) block, so the
+    reductions over k run along whole rows. Fisher at k >= 8 keeps the
+    Fortran-ordered gather: there np.sum adds each column pairwise, and
+    along rows it would add in another order and differ in the last bits.
     """
     m = sorted_values.shape[1]
     out = np.full(m, np.nan, dtype=np.float64)
@@ -207,7 +277,13 @@ def _pc_pvalues_from_sorted(
             continue
         cols = np.flatnonzero(n_per_hyp == n_j)
         k = n_j - r + 1
-        tail = sorted_values[r - 1 : n_j, :][:, cols]
+        rows = sorted_values[r - 1 : n_j]
+        if kind is PCCombinerKind.FISHER and k >= 8:
+            tail = rows[:, cols]
+        elif cols.size == m:
+            tail = rows
+        else:
+            tail = np.take(rows, cols, axis=1)
         if kind is PCCombinerKind.BONFERRONI:
             vals = k * tail[0]
         elif kind is PCCombinerKind.SIMES:

@@ -17,6 +17,7 @@ and the exhaustive oracle therefore agree bit for bit.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -251,15 +252,19 @@ def _bonferroni_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
     alpha with fl(alpha/k) >= S_j, a_k, rises with k, so the answer is a_k at
     the smallest k >= c_j with #{F <= fl(a_k/k)} <= k: c_j itself unless an F
     value lies in the rounding gap between S_j and fl(a_k/k). a_k > 1 once
-    fl(1/c_j) < S_j, so only a prefix of the sorted S can get a value below 1.
+    fl(1/c_j) < S_j, and along the sorted S that happens from some point on
+    (S rises, 1/c_j falls), so bisection finds the prefix that can get a
+    value below 1 and only the prefix is counted.
     """
     out = np.where(stats.testable, 1.0, np.nan)
-    s = stats.sorted_select[: stats.counts(1.0)[1]]
-    k = np.maximum(stats.counts(s)[0], 1)
-    n = np.count_nonzero(s <= 1.0 / k)
+    s = stats.sorted_select
+    n = bisect.bisect_left(
+        range(s.size), True, key=lambda i: s[i] > 1.0 / max(int(stats.counts(s[i])[0]), 1)
+    )
     if n == 0:
         return out
-    s, k = s[:n], k[:n]
+    s = s[:n]
+    k = np.maximum(stats.counts(s)[0], 1)
     while True:
         level = _smallest_level(s, k)
         retry = (level <= 1.0) & (stats.counts(level / k)[0] > k)

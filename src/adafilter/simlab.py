@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NoConvergence, ValidationError
-from .pc_core import PCCombinerKind, PValueMatrix
+from .pc_core import PCCombinerKind, PValueMatrix, _sort_columns
 from .procedures import Procedure, ProcedureKind
 from .baselines import run_procedure
 
@@ -226,9 +226,17 @@ def sample_truth(scenario: SimScenario, rep: int) -> TruthAssignment:
 def _lowest_k_mask(u: NDArray[np.float64], k_counts: NDArray[np.int64]) -> NDArray[np.bool_]:
     """True at the k_j smallest uniforms of each column j, ties broken by row.
 
-    This is a uniformly random subset of k_j studies per column. It equals
-    rank < k_j with ranks from a double stable argsort, with one sort fewer.
+    This is a uniformly random subset of k_j studies per column. Without tied
+    uniforms it is u <= (k_j-th smallest of column j), read from the sorted
+    columns; if any column holds a tie (nearly impossible with Philox
+    doubles), it is rank < k_j with ranks from a stable argsort and a scatter.
     """
+    ascending = np.array(u, order="C")
+    _sort_columns(ascending)
+    if not (ascending[1:] == ascending[:-1]).any():
+        m = u.shape[1]
+        kth = ascending.ravel()[np.maximum(k_counts - 1, 0) * m + np.arange(m)]
+        return u <= np.where(k_counts > 0, kth, -np.inf)
     order = np.argsort(u, axis=0, kind="stable")
     mask = np.empty(u.shape, dtype=bool)
     np.put_along_axis(mask, order, np.arange(u.shape[0])[:, None] < k_counts, axis=0)

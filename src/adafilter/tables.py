@@ -62,8 +62,9 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
     lines where csv.reader ends records. Each chunk's ids are split off and
     its NA cells become nan before loadtxt parses it. The result is returned
     only when it must equal the per-cell reader's:
-    - no quote or NUL character and no line longer than the csv field limit,
-      so every line splits on its commas as csv.reader splits it;
+    - no NUL character, no line longer than the csv field limit, and no
+      quote except pairs that wrap a whole header or id cell (R's write.csv
+      layout), so every line splits on its commas as csv.reader splits it;
     - every row has as many cells as the header;
     - there is one NaN per NA cell and no other, so a literal nan never
       passes as missing;
@@ -73,7 +74,7 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
     limit = csv.field_size_limit()
 
     def plain(text: str, lines: list[str]) -> bool:
-        return not ('"' in text or "\0" in text) and max(map(len, lines)) <= limit
+        return "\0" not in text and max(map(len, lines)) <= limit
 
     ids: list[str] = []
     blocks: list[NDArray] = []
@@ -82,14 +83,18 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
         warnings.simplefilter("always")
         header = next((line for line in fh if line != "\n"), "")
         n_studies = header.count(",")
-        if n_studies == 0 or not plain(header, [header]):
+        header_cells = _unquoted(header.rstrip("\n").split(","), header.count('"'))
+        if n_studies == 0 or header_cells is None or not plain(header, [header]):
             return None
         try:
             for lines in iter(lambda: fh.readlines(_CHUNK_CHARS), []):
                 text = "".join(lines)
-                if not plain(text, lines):
+                chunk_ids = [line.partition(",")[0] for line in lines if line != "\n"]
+                if '"' in text:
+                    chunk_ids = _unquoted(chunk_ids, text.count('"'))
+                if not plain(text, lines) or chunk_ids is None:
                     return None
-                ids += [line.partition(",")[0] for line in lines if line != "\n"]
+                ids += chunk_ids
                 # a cell that starts with NA parses only if the rest is whitespace,
                 # which the per-cell reader strips as well
                 rewritten = text.replace(",NA", ",nan")
@@ -112,6 +117,15 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
             or len(set(ids)) != m):
         return None
     return validate_matrix(values.T, ids=ids)
+
+
+def _unquoted(cells: list[str], quotes: int) -> list[str] | None:
+    """The cells as csv.reader reads them, where the text they come from holds
+    `quotes` quote characters; None unless each of those is one of a pair
+    that wraps a whole cell."""
+    out = [c[1:-1] if len(c) > 1 and c[0] == c[-1] == '"' else c for c in cells]
+    unwrapped = sum(len(c) - len(o) for c, o in zip(cells, out))
+    return out if unwrapped == quotes else None
 
 
 def _ingest_per_cell(path: str) -> PValueMatrix:

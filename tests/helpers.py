@@ -174,3 +174,29 @@ def bh_adjusted_pvalues(pvalues):
     out = np.empty(m)
     out[order] = np.minimum(1.0, adj)
     return out
+
+
+def gathered_pc_pvalues(sorted_values, n_per_hyp, r: int, kind: af.PCCombinerKind):
+    """PC p-values from each n_j group's tail gathered as
+    sorted_values[r - 1 : n_j, :][:, cols], which numpy returns in Fortran
+    order, so every reduction over k runs column by column: an oracle pinning
+    the bits of pc_core._pc_pvalues_from_sorted, whatever layout it reads."""
+    from adafilter.pc_core import _chi_square_sf_even
+
+    out = np.full(sorted_values.shape[1], np.nan)
+    for n_j in np.flatnonzero(np.bincount(n_per_hyp)):
+        n_j = int(n_j)
+        if n_j < r:
+            continue
+        cols = np.flatnonzero(n_per_hyp == n_j)
+        k = n_j - r + 1
+        tail = sorted_values[r - 1 : n_j, :][:, cols]
+        if kind is af.PCCombinerKind.BONFERRONI:
+            vals = k * tail[0]
+        elif kind is af.PCCombinerKind.SIMES:
+            vals = np.min(k * tail / np.arange(1, k + 1, dtype=np.float64)[:, None], axis=0)
+        else:
+            with np.errstate(divide="ignore"):
+                vals = _chi_square_sf_even(-2.0 * np.sum(np.log(tail), axis=0), 2 * k)
+        out[cols] = np.minimum(vals, 1.0)
+    return out

@@ -1,6 +1,7 @@
 """CSV ingestion, golden command outputs, and end-to-end determinism."""
 
 import argparse
+import hashlib
 import math
 import os
 import pathlib
@@ -123,6 +124,24 @@ class TestIngestCsv:
         for end in ("\r\n", "\r"):
             path = tmp_path / "m.csv"
             path.write_bytes(("id,s1,s2,s3\n" + rows).replace("\n", end).encode())
+            got = ingest_csv(str(path))
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.ids == want.ids
+
+    def test_r_write_csv_layout_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        # R quotes every header cell (the first one empty) and every id
+        rows = [(f"g{j}", f",{j % 7 / 7:.6f},NA,0.25\n") for j in range(3000)]
+        plain = "id,s1,s2,s3\n" + "".join(ident + rest for ident, rest in rows)
+        quoted = '"","s1","s2","s3"\n' + "".join(f'"{ident}"{rest}' for ident, rest in rows)
+        want = ingest_csv(write(tmp_path, "plain.csv", plain))
+
+        def per_cell(path):
+            raise AssertionError(f"{path} fell back to the per-cell reader")
+
+        monkeypatch.setattr(tables, "_ingest_per_cell", per_cell)
+        for end in ("\n", "\r\n"):
+            path = tmp_path / "r.csv"
+            path.write_bytes(quoted.replace("\n", end).encode())
             got = ingest_csv(str(path))
             assert got.values.tobytes() == want.values.tobytes()
             assert got.ids == want.ids
@@ -678,6 +697,26 @@ class TestCmdSimulate:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (7, "df23cf1c72e512d4aa7c9a9c941ff3ab2a0c476ba4e3fdc1a4c4545bac67e883"),
+            (20261018, "cc86e9d3891faf028adb89837c2d7db66ad1a7579ea7e2eb80373d42d39ef3ae"),
+        ],
+        ids=("seed-7", "seed-20261018"),
+    )
+    def test_smoke_panel_digest(self, tmp_path, capsys, seed, digest):
+        # the --threads comparisons hold within one version of the lab; these
+        # digests pin its bytes across versions, so a kernel rewrite that
+        # moves one draw, sort or sum shows here
+        smoke = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "smoke.scenario"
+        out = tmp_path / "smoke.tsv"
+        code = main(
+            ["simulate", "--scenario", str(smoke), "--output", str(out), "--seed", str(seed)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_row_layout(self, tmp_path, capsys):
         got = self.simulate(

@@ -68,21 +68,34 @@ def spliced(draw, data: bytes) -> bytes:
     return data
 
 
+def quoted(cell: str) -> str:
+    return f'"{cell}"'
+
+
 @st.composite
-def csv_case(draw) -> tuple[bytes, int]:
-    """CSV bytes and a replicability level, mostly one the file can support."""
+def csv_case(draw, r_layout=False) -> tuple[bytes, int]:
+    """CSV bytes and a replicability level, mostly one the file can support.
+
+    With r_layout, half the files quote the header and the ids as R's
+    write.csv does, and now and then a value cell or half an id as well.
+    """
     n = draw(mostly(st.integers(2, 4), st.just(1)))
     r = draw(mostly(st.integers(2, max(n, 2)), st.integers(-1, 5)))
     if draw(rarely()):
         return draw(st.binary(max_size=40)), r
-    lines = ["id," + ",".join(f"s{i}" for i in range(n))]
+    wrap = quoted if r_layout and draw(st.booleans()) else str
+    lines = [",".join(map(wrap, ["" if wrap is quoted else "id", *(f"s{i}" for i in range(n))]))]
     for j in range(draw(mostly(st.integers(1, 8), st.just(0)))):
         cells = draw(st.lists(CELLS, min_size=n, max_size=n))
         if draw(rarely(20)):
             cells[draw(st.integers(0, n - 1))] = draw(BAD_CELLS)
         if draw(rarely(30)):
             cells = cells[1:] if draw(st.booleans()) else cells + ["0.5"]
-        ident = draw(mostly(st.just(f"g{j}"), pick("g0", ""), odds=30))
+        ident = wrap(draw(mostly(st.just(f"g{j}"), pick("g0", ""), odds=30)))
+        if r_layout and draw(rarely(15)):
+            cells[0] = quoted(cells[0])
+        if r_layout and draw(rarely(15)):
+            ident = draw(pick('"', '""""', '"g",', 'g"')) + ident
         lines.append(",".join([ident, *cells]))
     lead = "\n" if draw(rarely()) else ""
     end = draw(pick("\n", "\n", "\r\n"))
@@ -178,7 +191,7 @@ def test_curve_command(case, alpha):
 
 
 @settings(FUZZ, max_examples=300)
-@given(case=csv_case())
+@given(case=st.one_of(csv_case(), csv_case(r_layout=True)))
 def test_bulk_and_per_cell_readers_agree(case, tmp_path):
     path = os.path.join(tmp_path, "input.csv")
     with open(path, "wb") as fh:

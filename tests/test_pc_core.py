@@ -109,6 +109,24 @@ class TestSortColumn:
         mat = af.validate_matrix([[0.2], [0.2]])
         assert mat.sorted_values[:, 0].tolist() == [0.2, 0.2]
 
+    def test_network_sort_is_bitwise_np_sort(self):
+        # n = 1..40 crosses pc_core._NETWORK_MAX_ROWS, the fallback to np.sort
+        import adafilter.pc_core as pc_core
+
+        assert pc_core._NETWORK_MAX_ROWS < 40
+        rng = np.random.default_rng(12)
+        for n in range(1, 41):
+            for m in (1, 7, 1000):
+                values = np.round(rng.random((n, m)), int(rng.integers(1, 4)))
+                values[rng.random((n, m)) < 0.1] = rng.choice([0.0, 1.0])
+                values[rng.random((n, m)) < 0.2] = NAN
+                want = np.sort(values, axis=0, kind="stable")
+                # the CSV reader hands over a Fortran-ordered transpose
+                for layout in (values, np.asfortranarray(values)):
+                    got = _column_sorted(layout)
+                    assert got.tobytes() == want.tobytes(), (n, m)
+                    assert got.flags.c_contiguous
+
     def test_single_observed_entry(self):
         mat = af.validate_matrix(np.array([[NAN], [0.7]]))
         np.testing.assert_array_equal(mat.sorted_values[:, 0], [0.7, NAN])
@@ -297,6 +315,28 @@ class TestCombinerProperties:
                     else:
                         # the same float operations in the same order
                         assert got[j] == want
+
+    def test_row_slices_match_gathered_tails(self):
+        # equal n_j reads the C-ordered slice, mixed n_j np.take, and Fisher
+        # at k >= 8 the Fortran-ordered gather; all must equal the gather's bits
+        import helpers
+
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 8, 9, 15, 21):
+            for mixed in (False, True):
+                values = rng.random((n, 300)) ** 3
+                values[rng.random((n, 300)) < 0.05] = 0.0
+                if mixed:
+                    values[rng.random((n, 300)) < 0.3] = NAN
+                    values[0] = rng.random(300)
+                mat = af.validate_matrix(values)
+                for r in range(2, n + 1):
+                    for kind in COMBINERS:
+                        got = _pc_pvalues_from_sorted(mat.sorted_values, mat.n_per_hyp, r, kind)
+                        want = helpers.gathered_pc_pvalues(
+                            mat.sorted_values, mat.n_per_hyp, r, kind
+                        )
+                        assert got.tobytes() == want.tobytes(), (n, mixed, r, kind)
 
     def test_uniform_null_stays_valid(self):
         # empirical CDF of the combined p-value must sit at or below the

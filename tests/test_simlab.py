@@ -199,6 +199,26 @@ class TestSampleTruth:
                 ranks = np.argsort(np.argsort(draws, axis=0, kind="stable"), axis=0, kind="stable")
                 np.testing.assert_array_equal(simlab._lowest_k_mask(draws, k), ranks < k)
 
+    def test_planted_ties_take_the_argsort_fallback(self, monkeypatch):
+        # a tie anywhere in u sends the mask to the stable argsort, which
+        # still marks the double-argsort ranks below k
+        rng = np.random.default_rng(32)
+        argsort_calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            simlab.np, "argsort", lambda *a, **kw: argsort_calls.append(1) or argsort(*a, **kw)
+        )
+        for n in (2, 5, 8, 20, 40):
+            u = rng.random((n, 500))
+            k = rng.integers(0, n + 1, size=500)
+            simlab._lowest_k_mask(u, k)
+            assert not argsort_calls
+            u[n - 1, 17] = u[0, 17]
+            ranks = argsort(argsort(u, axis=0, kind="stable"), axis=0, kind="stable")
+            np.testing.assert_array_equal(simlab._lowest_k_mask(u, k), ranks < k)
+            assert len(argsort_calls) == 1
+            argsort_calls.clear()
+
     def test_deterministic_per_replication(self):
         sc = scenario(M=500)
         a = af.sample_truth(sc, rep=7)
