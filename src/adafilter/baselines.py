@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix
 from .procedures import (
     DecisionResult,
@@ -33,7 +32,6 @@ __all__ = [
     "run_procedure",
     "direct_adjust",
     "bh_stepup",
-    "pfer_bound",
 ]
 
 
@@ -129,25 +127,3 @@ def direct_adjust(matrix: PValueMatrix, r: int, spec: DirectProcedureSpec) -> De
         adjusted[order] = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
     return _decision(method, alpha, cutoff, pc, testable, adjusted)
 
-
-def pfer_bound(counts: object, alpha: float, m: int, n: int) -> float:
-    """Upper bound on the expected false rejections of direct Bonferroni at r = n.
-
-    counts[k] is the number of hypotheses with exactly k non-null studies,
-    for k = 0..n-1; the bound is sum_k counts[k] * (alpha/m)^(n-k). The
-    k = n-1 term dominates: those hypotheses need a single null study to
-    clear the threshold by chance.
-    """
-    if m < 1 or n < 2:
-        raise ValidationError(f"need m >= 1 and n >= 2, got m = {m}, n = {n}")
-    alpha = _check_alpha(alpha)
-    c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 1 or c.shape[0] != n:
-        raise ValidationError(f"expected {n} counts (k = 0..n-1), got shape {c.shape}")
-    if np.any(c < 0) or np.any(~np.isfinite(c)):
-        raise ValidationError("counts must be finite and nonnegative")
-    if c.sum() > m:
-        raise ValidationError("counts sum to more than the number of hypotheses")
-    base = alpha / m
-    powers = base ** (n - np.arange(n, dtype=np.float64))
-    return float(np.dot(c, powers))

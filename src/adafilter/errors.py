@@ -52,28 +52,8 @@ class ReplicabilityLevelOutOfRange(ValidationError):
         )
 
 
-class InvalidDegreesOfFreedom(ValidationError):
-    """chi_square_sf requires a positive even integer df."""
-
-    def __init__(self, df: object):
-        self.df = df
-        super().__init__(f"degrees of freedom must be a positive even integer, got {df!r}")
-
-
 class NoTestableHypotheses(AdaFilterError):
     """Every column has fewer than r observed studies; nothing can be tested."""
-
-
-class OracleSizeExceeded(AdaFilterError):
-    """The exhaustive reference implementation refuses instances this large."""
-
-    def __init__(self, m: int, limit: int):
-        self.m = m
-        self.limit = limit
-        super().__init__(
-            f"exhaustive grid enumeration is limited to {limit} testable "
-            f"hypotheses, got {m}"
-        )
 
 
 class NoConvergence(AdaFilterError):

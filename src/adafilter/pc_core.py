@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateIdentifier,
     EmptyColumn,
-    InvalidDegreesOfFreedom,
     OutOfRangeEntry,
     ReplicabilityLevelOutOfRange,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "PCCombinerKind",
     "validate_matrix",
     "pc_pvalue",
-    "chi_square_sf",
 ]
 
 
@@ -104,8 +102,9 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     identifier per column. Error payloads report 1-based (row, column)
     positions since they describe input files.
     """
-    # adding 0.0 copies the input and turns each -0.0 into +0.0 (NaN stays NaN)
-    arr = np.asarray(values, dtype=np.float64) + 0.0
+    # adding 0.0 copies the input, C-ordered, and turns each -0.0 into +0.0
+    # (NaN stays NaN); the axis-0 counts and the column sort then read whole rows
+    arr = np.add(np.asarray(values, dtype=np.float64), 0.0, order="C")
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d grid of p-values, got {arr.ndim} dimension(s)")
     n, m = arr.shape
@@ -140,25 +139,13 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     return PValueMatrix(values=arr, ids=id_tuple)
 
 
-def chi_square_sf(x: float, df: int) -> float:
-    """Chi-square survival function for positive even df.
+def _chi_square_sf_even(x: NDArray[np.float64], df: int) -> NDArray[np.float64]:
+    """Chi-square survival function at each x >= 0 (NaN stays NaN) for one even df > 0.
 
     Uses the closed-form Poisson sum exp(-x/2) * sum_{k<df/2} (x/2)^k / k!,
     which is exact for even df and free of cancellation (all terms positive).
-    Absolute error is below 1e-12. Values are capped at 1; x <= 0 returns 1
-    and x = +inf returns 0.
+    Absolute error is below 1e-12. Values are capped at 1 and x = +inf gives 0.
     """
-    if isinstance(df, bool) or not isinstance(df, (int, np.integer)):
-        raise InvalidDegreesOfFreedom(df)
-    if df <= 0 or df % 2 != 0:
-        raise InvalidDegreesOfFreedom(df)
-    x = float(x)
-    # the kernel is only correct for x >= 0
-    return 1.0 if x <= 0.0 else float(_chi_square_sf_even(np.array([x]), int(df))[0])
-
-
-def _chi_square_sf_even(x: NDArray[np.float64], df: int) -> NDArray[np.float64]:
-    """Vectorized chi_square_sf for one fixed even df (no argument checks)."""
     half = 0.5 * np.asarray(x, dtype=np.float64)
     total = np.ones_like(half)
     term = np.ones_like(half)
@@ -198,34 +185,31 @@ def _column_sorted(values: NDArray[np.float64]) -> NDArray[np.float64]:
     """Sort each column ascending; NaN entries land at the bottom.
 
     Bit-identical to np.sort(values, axis=0, kind="stable") for entries in
-    [0, 1] without -0.0 (validate_matrix's domain): NaN is sorted as +inf,
-    which no such entry equals, and put back afterwards. The result is
-    C-ordered whatever the input's layout (the CSV reader hands over a
-    transpose), so the sort and the combiners read whole rows.
+    [0, 1] without -0.0 (validate_matrix's domain). The result is C-ordered
+    whatever the input's layout, so the sort and the combiners read whole rows.
     """
     out = np.array(values, order="C")
-    missing = np.isnan(out)
-    if not missing.any():
-        _sort_columns(out)
-        return out
-    np.copyto(out, np.inf, where=missing)
     _sort_columns(out)
-    np.copyto(out, np.nan, where=np.isinf(out))
     return out
 
 
 def _sort_columns(a: NDArray[np.float64]) -> None:
-    """Sort each column of a C-ordered, NaN-free array in place.
+    """Sort each column of a C-ordered array of entries in [0, 1] or NaN in place, NaN last.
 
     Up to _NETWORK_MAX_ROWS rows this runs Batcher's odd-even merge network
-    (Knuth, TAOCP 3, 5.3.4, Algorithm M): each comparator is one np.minimum
-    and one np.maximum over two whole rows, which beats numpy's strided
-    per-column sort. Equal values are bitwise equal, so the result matches
-    any sort. Above that, ndarray.sort.
+    (Knuth, TAOCP 3, 5.3.4, Algorithm M): each comparator is one np.fmin and
+    one np.maximum over two whole rows, which beats numpy's strided
+    per-column sort. np.fmin ignores NaN and np.maximum propagates it, so a
+    comparator treats NaN as the largest key. Equal values are bitwise equal,
+    so the result matches any sort. Above that, ndarray.sort, with NaN sorted
+    as +inf (no entry in [0, 1] equals it): its stable sort ran 9-25% slower
+    on NaN than on +inf at n = 33..100.
     """
     n, m = a.shape
     if n > _NETWORK_MAX_ROWS:
+        np.copyto(a, np.inf, where=np.isnan(a))
         a.sort(axis=0, kind="stable")
+        np.copyto(a, np.nan, where=np.isinf(a))
         return
     pairs = _merge_exchange_pairs(n)
     low = np.empty(min(m, _NETWORK_BLOCK))
@@ -233,7 +217,7 @@ def _sort_columns(a: NDArray[np.float64]) -> None:
         block = a[:, start : start + _NETWORK_BLOCK]
         buf = low[: block.shape[1]]
         for i, j in pairs:
-            np.minimum(block[i], block[j], out=buf)
+            np.fmin(block[i], block[j], out=buf)
             np.maximum(block[i], block[j], out=block[j])
             block[i] = buf
 

@@ -12,8 +12,9 @@ gamma0 from a candidate grid and reject hypothesis j when S_j <= gamma0:
 
 Grid feasibility is decided in exact integer arithmetic on the counts, and
 every grid value k*alpha/m is materialized as the correctly rounded float of
-the exact rational (single rounding via integer division). The fast search
-and the exhaustive oracle therefore agree bit for bit.
+the exact rational (single rounding via integer division). The BH search
+therefore returns bit for bit what a literal enumeration of the grid returns
+(tests/helpers.py keeps that enumeration as the oracle).
 """
 from __future__ import annotations
 
@@ -27,11 +28,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    NoTestableHypotheses,
-    OracleSizeExceeded,
-    ValidationError,
-)
+from .errors import NoTestableHypotheses, ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix, _read_only
 
 __all__ = [
@@ -43,11 +40,8 @@ __all__ = [
     "compute_filter_select",
     "adafilter_bonferroni",
     "adafilter_bh",
-    "adafilter_bh_oracle",
     "curves",
 ]
-
-_ORACLE_LIMIT = 200
 
 
 class ProcedureKind(Enum):
@@ -379,7 +373,8 @@ def adafilter_bh(
     """Adaptive BH: largest grid gamma with gamma * #{F<=gamma} <= alpha * #{S<=gamma}.
 
     The candidate grid is {k*alpha/m : 0 <= k <= m <= M_t}; gamma = 0 is
-    always feasible. Output is bit-identical to adafilter_bh_oracle.
+    always feasible. Output is bit-identical to checking every grid value
+    literally (the exhaustive oracle in tests/helpers.py).
 
     compute_adjusted fills per-hypothesis adjusted values: the smallest alpha
     at which the hypothesis would be rejected, located by bisection. Rejection
@@ -412,28 +407,6 @@ def _bh_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
                 lo = mid
         out[j] = hi
     return out
-
-
-def adafilter_bh_oracle(stats: FilterSelectStats, alpha: float) -> DecisionResult:
-    """Literal grid search over every k*alpha/m with 0 <= k <= m <= M_t.
-
-    Ground truth for adafilter_bh, quadratic in M_t and capped at M_t <= 200.
-    Every pair is materialized and checked with the same exact arithmetic as
-    the fast search.
-    """
-    alpha = _check_alpha(alpha)
-    m_t = _testable_count(stats)
-    if m_t > _ORACLE_LIMIT:
-        raise OracleSizeExceeded(m_t, _ORACLE_LIMIT)
-    num, den = alpha.as_integer_ratio()
-
-    pairs = [(k, m) for m in range(1, m_t + 1) for k in range(1, m + 1)]
-    gammas = np.array([_grid_float(k, m, num, den) for k, m in pairs])
-    ks, ms = np.array(pairs).T
-    c_f, c_s = stats.counts(gammas)
-    feasible = ks * c_f <= ms * c_s
-    gamma0 = float(gammas[feasible].max()) if feasible.any() else 0.0
-    return _decision(ProcedureKind.ADAFILTER_BH, alpha, gamma0, stats.select_p, stats.testable)
 
 
 def curves(

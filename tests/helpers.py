@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 import adafilter as af
+from adafilter.procedures import _grid_float
 
 
 def random_matrix(rng: np.random.Generator, max_m: int = 50, max_n: int = 8):
@@ -71,6 +72,34 @@ def results_equal(a: af.DecisionResult, b: af.DecisionResult) -> bool:
         and a.filtered_count == b.filtered_count
         and np.array_equal(a.rejected, b.rejected)
         and np.array_equal(a.untestable, b.untestable)
+    )
+
+
+def adafilter_bh_oracle(stats: af.FilterSelectStats, alpha: float) -> af.DecisionResult:
+    """Literal grid search over every k*alpha/m with 0 <= k <= m <= M_t.
+
+    Ground truth for adafilter_bh, quadratic in M_t, so it is kept to
+    M_t <= 200. Every pair is materialized and checked with the same exact
+    arithmetic as the fast search.
+    """
+    alpha = float(alpha)
+    m_t = stats.n_testable
+    assert 1 <= m_t <= 200, m_t
+    num, den = alpha.as_integer_ratio()
+
+    pairs = [(k, m) for m in range(1, m_t + 1) for k in range(1, m + 1)]
+    gammas = np.array([_grid_float(k, m, num, den) for k, m in pairs])
+    ks, ms = np.array(pairs).T
+    c_f, c_s = stats.counts(gammas)
+    feasible = ks * c_f <= ms * c_s
+    gamma0 = float(gammas[feasible].max()) if feasible.any() else 0.0
+    return af.DecisionResult(
+        method=af.ProcedureKind.ADAFILTER_BH,
+        alpha=alpha,
+        gamma0=gamma0,
+        filtered_count=None,
+        rejected=stats.testable & (stats.select_p <= gamma0),
+        untestable=~stats.testable,
     )
 
 

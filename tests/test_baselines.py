@@ -263,54 +263,3 @@ class TestRunProcedure:
         assert af.Procedure(af.ProcedureKind.ADAFILTER_BH, 0.1).name == "adafilter-bh"
         proc = af.Procedure(af.ProcedureKind.DIRECT_BH, 0.1, af.PCCombinerKind.FISHER)
         assert proc.name == "direct-bh-fisher"
-
-
-class TestPferBound:
-    def test_worked_example(self):
-        assert af.pfer_bound([90, 10], alpha=1.0, m=100, n=2) == pytest.approx(0.109)
-
-    def test_zero_counts(self):
-        assert af.pfer_bound([0, 0, 0], alpha=0.5, m=10, n=3) == 0.0
-
-    def test_worst_case_equals_alpha(self):
-        for alpha in (0.2, 1.0):
-            got = af.pfer_bound([0, 0, 50], alpha=alpha, m=50, n=3)
-            assert got == pytest.approx(alpha)
-
-    def test_monotone_in_counts_and_alpha(self):
-        rng = np.random.default_rng(27)
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            m = int(rng.integers(10, 1000))
-            counts = rng.integers(0, m // n, size=n).astype(float)
-            alpha = float(rng.uniform(0.01, 1.0))
-            base = af.pfer_bound(counts, alpha, m, n)
-            k = int(rng.integers(0, n))
-            bumped = counts.copy()
-            bumped[k] += 1
-            assert af.pfer_bound(bumped, alpha, m, n) >= base
-            assert af.pfer_bound(counts, min(1.0, alpha * 1.5), m, n) >= base
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            af.pfer_bound([1, 2, 3], alpha=0.5, m=10, n=2)  # wrong length
-        with pytest.raises(ValidationError):
-            af.pfer_bound([-1, 2], alpha=0.5, m=10, n=2)
-        with pytest.raises(ValidationError):
-            af.pfer_bound([20, 20], alpha=0.5, m=10, n=2)  # more counts than m
-        with pytest.raises(ValidationError):
-            af.pfer_bound([1, 2], alpha=0.0, m=10, n=2)
-        with pytest.raises(ValidationError):
-            af.pfer_bound([1, 2], alpha=0.5, m=0, n=2)
-        # m and n are checked before the counts, so the report names them
-        with pytest.raises(ValidationError, match="m >= 1"):
-            af.pfer_bound([], alpha=0.5, m=1, n=0)
-        with pytest.raises(ValidationError, match="n >= 2"):
-            af.pfer_bound([0.5], alpha=0.5, m=10, n=1)
-        with pytest.raises(ValidationError, match="m >= 1"):
-            af.pfer_bound([1.5, 0], alpha=0.5, m=0, n=2)
-        # alpha follows the package-wide rule (0, 1], NaN included
-        with pytest.raises(ValidationError, match="alpha"):
-            af.pfer_bound([1, 2], alpha=float("nan"), m=10, n=2)
-        with pytest.raises(ValidationError, match="alpha"):
-            af.pfer_bound([1, 2], alpha=1.5, m=10, n=2)

@@ -10,7 +10,6 @@ import adafilter as af
 from adafilter import procedures
 from adafilter.errors import (
     NoTestableHypotheses,
-    OracleSizeExceeded,
     ReplicabilityLevelOutOfRange,
     ValidationError,
 )
@@ -76,7 +75,7 @@ class TestComputeFilterSelect:
             af.adafilter_bonferroni(stats, 0.1)
             af.adafilter_bh(stats, 0.1)
             af.adafilter_bh(stats, 0.1, compute_adjusted=True)
-            af.adafilter_bh_oracle(stats, 0.1)
+            helpers.adafilter_bh_oracle(stats, 0.1)
             af.curves(stats)
             af.curves(stats, grid=np.linspace(0.0, 1.0, 11), alpha=0.1)
 
@@ -279,7 +278,7 @@ class TestAdaptiveBH:
         # seen by the search even though no smaller breakpoint exposes it
         stats = stats_from_fs([0.01, 0.02], [0.05, 0.05])
         res = af.adafilter_bh(stats, 0.05)
-        oracle = af.adafilter_bh_oracle(stats, 0.05)
+        oracle = helpers.adafilter_bh_oracle(stats, 0.05)
         assert helpers.results_equal(res, oracle)
         assert res.gamma0 == 0.05
 
@@ -334,19 +333,14 @@ class TestAdaptiveBH:
 class TestOracleAgreement:
     def test_degenerate_single_hypothesis(self):
         stats = stats_from_fs([1.0], [1.0])
-        res = af.adafilter_bh_oracle(stats, 0.5)
+        res = helpers.adafilter_bh_oracle(stats, 0.5)
         assert res.gamma0 == 0.5
         assert res.n_rejected == 0
 
     def test_rejecting_fixture(self):
-        res = af.adafilter_bh_oracle(stats_from(TOY_REJECTING), 0.05)
+        res = helpers.adafilter_bh_oracle(stats_from(TOY_REJECTING), 0.05)
         assert res.gamma0 == 0.05
         assert res.rejected.tolist() == [True, False]
-
-    def test_size_cap(self):
-        stats = stats_from_fs([0.5] * 201, [0.6] * 201)
-        with pytest.raises(OracleSizeExceeded):
-            af.adafilter_bh_oracle(stats, 0.05)
 
     def test_fast_search_matches_oracle_randomized(self):
         rng = np.random.default_rng(29)
@@ -358,7 +352,7 @@ class TestOracleAgreement:
             done += 1
             alpha = helpers.random_alpha(rng)
             fast = af.adafilter_bh(stats, alpha)
-            slow = af.adafilter_bh_oracle(stats, alpha)
+            slow = helpers.adafilter_bh_oracle(stats, alpha)
             assert helpers.results_equal(fast, slow), (stats.filter_p, alpha)
 
     def test_fast_search_matches_oracle_on_grid_ties(self, monkeypatch):
@@ -388,7 +382,7 @@ class TestOracleAgreement:
             s = np.maximum(f, rng.choice(points, size=m_t))
             stats = stats_from_fs(f, np.minimum(s, 1.0) if rng.random() < 0.5 else s)
             fast = af.adafilter_bh(stats, alpha)
-            slow = af.adafilter_bh_oracle(stats, alpha)
+            slow = helpers.adafilter_bh_oracle(stats, alpha)
             assert helpers.results_equal(fast, slow), (f, s, alpha)
         assert len(below_calls) >= 50
 
