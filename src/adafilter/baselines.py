@@ -53,7 +53,10 @@ class DirectProcedureSpec:
 
 
 def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResult:
-    """Run one procedure on a p-value matrix at replicability level r."""
+    """Run one procedure on a p-value matrix at replicability level r.
+
+    Its callers read only the decisions, so it never builds adjusted values.
+    """
     if proc.kind is ProcedureKind.ADAFILTER_BONFERRONI:
         return adafilter_bonferroni(compute_filter_select(matrix, r), proc.alpha)
     if proc.kind is ProcedureKind.ADAFILTER_BH:
@@ -62,7 +65,8 @@ def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResu
         adjustment = AdjustmentKind.BONFERRONI
     else:
         adjustment = AdjustmentKind.BH
-    return direct_adjust(matrix, r, DirectProcedureSpec(proc.combiner, adjustment, proc.alpha))
+    spec = DirectProcedureSpec(proc.combiner, adjustment, proc.alpha)
+    return direct_adjust(matrix, r, spec, compute_adjusted=False)
 
 
 def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bool_], float]:
@@ -72,28 +76,38 @@ def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bo
     (0.0 when nothing is rejected). Ties at the cutoff are all rejected.
     """
     ascending = np.sort(pvalues)
-    k_star = _bh_count(ascending, alpha)
+    k_star = _bh_count(ascending, alpha, pvalues.shape[0])
     if k_star == 0:
         return np.zeros(pvalues.shape[0], dtype=bool), 0.0
     cutoff = float(ascending[k_star - 1])
     return pvalues <= cutoff, cutoff
 
 
-def _bh_count(ascending: NDArray[np.float64], alpha: float) -> int:
-    """Step-up rejection count: the largest k with P_(k) <= alpha * (k/m), else 0."""
-    m = ascending.shape[0]
-    ok = np.flatnonzero(ascending <= alpha * (np.arange(1, m + 1) / m))
+def _bh_count(ascending: NDArray[np.float64], alpha: float, m: int) -> int:
+    """Step-up rejection count among m p-values: the largest k with P_(k) <= alpha * (k/m), else 0.
+
+    ascending is a sorted prefix of the m p-values that holds every one at or
+    below alpha: P_(k) <= alpha * (k/m) implies P_(k) <= alpha, so no larger
+    one can count, and the ladder's first entries are the same floats as the
+    full ladder's.
+    """
+    ok = np.flatnonzero(ascending <= alpha * (np.arange(1, ascending.shape[0] + 1) / m))
     return int(ok[-1]) + 1 if ok.size else 0
 
 
-def direct_adjust(matrix: PValueMatrix, r: int, spec: DirectProcedureSpec) -> DecisionResult:
+def direct_adjust(
+    matrix: PValueMatrix, r: int, spec: DirectProcedureSpec, compute_adjusted: bool = True
+) -> DecisionResult:
     """Run one direct procedure on a p-value matrix at replicability level r.
 
     PC p-values are computed per testable column (n_j >= r) with the
     requested combiner; untestable columns are excluded from the correction
-    and never rejected. gamma0 reports the PC p-value cutoff in use and
-    adjusted holds standard adjusted p-values (min(1, M_t * P) for
-    Bonferroni, the monotone step-up adjustment for BH).
+    and never rejected. gamma0 reports the PC p-value cutoff in use. With
+    compute_adjusted (the default, which the benchmark's decision check
+    reads), adjusted holds standard adjusted p-values (min(1, M_t * P) for
+    Bonferroni, the monotone step-up adjustment for BH); without it adjusted
+    is None and the decision costs one pass plus, for BH, a sort of the
+    P <= alpha.
     """
     testable = matrix.testable(r)
     alpha = float(spec.alpha)
@@ -102,28 +116,29 @@ def direct_adjust(matrix: PValueMatrix, r: int, spec: DirectProcedureSpec) -> De
     pc = matrix.pc_pvalues(r, spec.combiner)
     # r <= max n_j, so at least one column is testable
     m_t = int(np.count_nonzero(testable))
+    adjusted = None
     if spec.adjustment is AdjustmentKind.BONFERRONI:
         method = ProcedureKind.DIRECT_BONFERRONI
         cutoff = alpha / m_t
-        adjusted = np.minimum(1.0, pc * m_t)
+        if compute_adjusted:
+            adjusted = np.minimum(1.0, pc * m_t)
     else:
         method = ProcedureKind.DIRECT_BH
-        # allocated before the sort's temporaries: allocated after them, this
-        # long-lived array raised peak RSS by about 15 MB at M = 1e6
-        adjusted = np.full(pc.shape[0], np.nan)
-        # one sort gives both the step-up cutoff and the adjusted values; the
-        # untestable columns sort last as +inf (argsort is several times
-        # slower on an array holding NaN)
-        order = np.argsort(np.where(testable, pc, np.inf))[:m_t]
-        ascending = pc[order]
-        k_star = _bh_count(ascending, alpha)
+        # NaN (untestable) fails P <= alpha, so only testable values are sorted
+        head = np.sort(pc[pc <= alpha])
+        k_star = _bh_count(head, alpha, m_t)
         # when nothing is rejected the cutoff is 0.0 and no P is 0 (a 0 is
         # always rejected), so P <= cutoff reproduces the step-up's mask
-        cutoff = float(ascending[k_star - 1]) if k_star else 0.0
-        # running minimum of m*P_(i)/i from the top; within a block of ties it
-        # equals its value at the block's last position, so any tie order
-        # gives the same values
-        scaled = ascending * (m_t / np.arange(1, m_t + 1))
-        adjusted[order] = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
+        cutoff = float(head[k_star - 1]) if k_star else 0.0
+        if compute_adjusted:
+            # allocated before the argsort's temporaries: allocated after them,
+            # this long-lived array raised peak RSS by about 15 MB at M = 1e6
+            adjusted = np.full(pc.shape[0], np.nan)
+            # the untestable columns sort last as +inf (argsort is several
+            # times slower on an array holding NaN); the running minimum of
+            # m*P_(i)/i from the top equals, within a block of ties, its value
+            # at the block's last position, so any tie order gives the same values
+            order = np.argsort(np.where(testable, pc, np.inf))[:m_t]
+            scaled = pc[order] * (m_t / np.arange(1, m_t + 1))
+            adjusted[order] = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
     return _decision(method, alpha, cutoff, pc, testable, adjusted)
-

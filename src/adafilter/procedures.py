@@ -214,15 +214,18 @@ def _decision(
     return DecisionResult(method, alpha, gamma0, filtered_count, rejected, untestable, adjusted)
 
 
-def adafilter_bonferroni(stats: FilterSelectStats, alpha: float) -> DecisionResult:
+def adafilter_bonferroni(
+    stats: FilterSelectStats, alpha: float, compute_adjusted: bool = False
+) -> DecisionResult:
     """Adaptive Bonferroni: largest gamma = alpha/k with gamma * #{F <= gamma} <= alpha.
 
     Since gamma = alpha/k, feasibility is exactly #{F <= alpha/k} <= k, an
     integer comparison with no rounding slack, and it holds exactly when the
     (k+1)-th smallest F exceeds alpha/k (k = M_t is always feasible). The
     count is nonincreasing in k, so the smallest feasible k gives the largest
-    feasible gamma. adjusted holds the smallest alpha that rejects each
-    hypothesis, whatever alpha is passed (_bonferroni_adjusted).
+    feasible gamma. compute_adjusted fills adjusted with the smallest alpha
+    that rejects each hypothesis, whatever alpha is passed
+    (_bonferroni_adjusted); otherwise adjusted is None.
     """
     alpha = _check_alpha(alpha)
     m_t = _testable_count(stats)
@@ -233,7 +236,7 @@ def adafilter_bonferroni(stats: FilterSelectStats, alpha: float) -> DecisionResu
     gamma0 = float(gammas[k_star - 1])
     return _decision(
         ProcedureKind.ADAFILTER_BONFERRONI, alpha, gamma0, stats.select_p, stats.testable,
-        _bonferroni_adjusted(stats), filtered_count=k_star,
+        _bonferroni_adjusted(stats) if compute_adjusted else None, filtered_count=k_star,
     )
 
 

@@ -226,20 +226,26 @@ def sample_truth(scenario: SimScenario, rep: int) -> TruthAssignment:
 def _lowest_k_mask(u: NDArray[np.float64], k_counts: NDArray[np.int64]) -> NDArray[np.bool_]:
     """True at the k_j smallest uniforms of each column j, ties broken by row.
 
-    This is a uniformly random subset of k_j studies per column. Without tied
-    uniforms it is u <= (k_j-th smallest of column j), read from the sorted
-    columns; if any column holds a tie (nearly impossible with Philox
-    doubles), it is rank < k_j with ranks from a stable argsort and a scatter.
+    This is a uniformly random subset of k_j studies per column. A column
+    with k_j = 0 stays all False, so only the columns with k_j > 0 are read.
+    Without a tie in a column with k_j > 0 it is u <= (k_j-th smallest of
+    column j), read from the sorted columns; if such a column holds a tie
+    (nearly impossible with Philox doubles), it is rank < k_j with ranks from
+    a stable argsort and a scatter.
     """
-    ascending = np.array(u, order="C")
+    cols = np.flatnonzero(k_counts)
+    k = k_counts[cols]
+    sub = np.take(u, cols, axis=1)
+    ascending = sub.copy()
     _sort_columns(ascending)
     if not (ascending[1:] == ascending[:-1]).any():
-        m = u.shape[1]
-        kth = ascending.ravel()[np.maximum(k_counts - 1, 0) * m + np.arange(m)]
-        return u <= np.where(k_counts > 0, kth, -np.inf)
-    order = np.argsort(u, axis=0, kind="stable")
-    mask = np.empty(u.shape, dtype=bool)
-    np.put_along_axis(mask, order, np.arange(u.shape[0])[:, None] < k_counts, axis=0)
+        picked = sub <= ascending[k - 1, np.arange(cols.size)]
+    else:
+        order = np.argsort(sub, axis=0, kind="stable")
+        picked = np.empty(sub.shape, dtype=bool)
+        np.put_along_axis(picked, order, np.arange(u.shape[0])[:, None] < k, axis=0)
+    mask = np.zeros(u.shape, dtype=bool)
+    mask[:, cols] = picked
     return mask
 
 

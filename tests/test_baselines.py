@@ -193,6 +193,46 @@ class TestDirectAdjust:
             assert check(mat, 2, "bonferroni", 0.05) == rejections
 
 
+    def test_adjusted_values_change_no_decision(self):
+        # adjusted values are built only on request; the BH decision reads the
+        # P <= alpha alone whether or not they are
+        rng = np.random.default_rng(43)
+        done = 0
+        while done < 300:
+            inst = helpers.random_matrix(rng, max_m=30)
+            if inst is None:
+                continue
+            mat, r = inst
+            done += 1
+            for alpha in (helpers.random_alpha(rng), 1.0):
+                for combiner in ("simes", "fisher", "bonferroni"):
+                    for adjustment in ("bonferroni", "bh"):
+                        sp = spec(combiner, adjustment, alpha)
+                        lean = af.direct_adjust(mat, r, sp, compute_adjusted=False)
+                        full = af.direct_adjust(mat, r, sp)
+                        assert lean.adjusted is None
+                        assert full.adjusted.shape == (mat.n_hypotheses,)
+                        assert helpers.results_equal(lean, full)
+
+    def test_bh_cutoff_on_planted_edges(self):
+        # at r = n = 2 the Bonferroni PC p-value of a column (p, p) is p; the
+        # last column has one observed entry and is untestable
+        for pcs, alpha, cutoff, rejections in (
+            ([0.06, 0.2, 0.7, 0.9], 0.05, 0.0, 0),  # every P > alpha: k* = 0
+            ([0.0, 0.0, 0.5, 0.9], 0.05, 0.0, 2),  # P = 0 is always rejected
+            ([0.025, 0.025, 0.9, 0.9], 0.05, 0.025, 2),  # tie on the ladder's k = 2 rung
+            ([0.01, 0.03, 0.03, 0.03], 0.05, 0.03, 4),  # a tie block past a failed rung
+            ([0.2, 0.5, 0.9, 1.0], 1.0, 1.0, 4),  # alpha = 1: P = 1 meets the top rung
+        ):
+            mat = af.validate_matrix([pcs + [0.001], pcs + [NAN]])
+            mask, want = naive_bh(pcs, alpha)
+            assert (want, sum(mask)) == (cutoff, rejections)
+            for compute_adjusted in (False, True):
+                res = af.direct_adjust(mat, 2, spec("bonferroni", "bh", alpha), compute_adjusted)
+                assert res.gamma0 == cutoff
+                assert res.rejected.tolist() == mask + [False]
+
+
 class TestBhAdjustedPvalues:
     def test_heavily_tied_input_matches_definition(self):
         # min over k >= i of m * P_(k) / k; positions with P_(k) >= P_j are

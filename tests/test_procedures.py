@@ -180,7 +180,7 @@ class TestAdaptiveBonferroni:
             if stats is None:
                 continue
             done += 1
-            res = af.adafilter_bonferroni(stats, helpers.random_alpha(rng))
+            res = af.adafilter_bonferroni(stats, helpers.random_alpha(rng), compute_adjusted=True)
             want = helpers.adafilter_bonferroni_adjusted_oracle(stats)
             np.testing.assert_array_equal(res.adjusted, want)
 
@@ -194,7 +194,7 @@ class TestAdaptiveBonferroni:
         a3 = helpers.smallest_float_with_quotient_at_least(s, 3)
         assert a3 / 3 == x
         assert not af.adafilter_bonferroni(stats, a3).rejected[0]
-        res = af.adafilter_bonferroni(stats, 0.05)
+        res = af.adafilter_bonferroni(stats, 0.05, compute_adjusted=True)
         assert res.adjusted[0] == 4 * s
         assert af.adafilter_bonferroni(stats, 4 * s).rejected[0]
         assert not af.adafilter_bonferroni(stats, math.nextafter(4 * s, 0.0)).rejected[0]
@@ -393,6 +393,24 @@ class TestDecisionInvariants:
         helpers.adafilter_bonferroni_twostep,
         af.adafilter_bh,
     )
+
+    def test_adjusted_values_change_no_decision(self):
+        # both adaptive procedures build adjusted values only on request, and
+        # the request changes neither the threshold nor any decision
+        rng = np.random.default_rng(41)
+        done = 0
+        while done < 300:
+            stats = helpers.random_stats(rng, max_m=30)
+            if stats is None:
+                continue
+            done += 1
+            for alpha in (helpers.random_alpha(rng), 1.0):
+                for procedure in (af.adafilter_bonferroni, af.adafilter_bh):
+                    lean = procedure(stats, alpha)
+                    full = procedure(stats, alpha, compute_adjusted=True)
+                    assert lean.adjusted is None
+                    assert full.adjusted.shape == stats.testable.shape
+                    assert helpers.results_equal(lean, full)
 
     def test_rejections_follow_threshold_and_testability(self):
         rng = np.random.default_rng(37)

@@ -38,6 +38,15 @@ def scenario(**overrides) -> af.SimScenario:
 
 
 @pytest.fixture
+def argsort_calls(monkeypatch):
+    """Records each np.argsort call (the truth mask's tie fallback) in the test."""
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(simlab.np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+    return calls
+
+
+@pytest.fixture
 def inline_pool(monkeypatch):
     """Stand-in for the process pool that runs each chunk when it is submitted
     and starts no process. It records each pool's size and start-method
@@ -199,25 +208,43 @@ class TestSampleTruth:
                 ranks = np.argsort(np.argsort(draws, axis=0, kind="stable"), axis=0, kind="stable")
                 np.testing.assert_array_equal(simlab._lowest_k_mask(draws, k), ranks < k)
 
-    def test_planted_ties_take_the_argsort_fallback(self, monkeypatch):
-        # a tie anywhere in u sends the mask to the stable argsort, which
-        # still marks the double-argsort ranks below k
+    def test_planted_ties_take_the_argsort_fallback(self, argsort_calls):
+        # a tie in a column with k_j > 0 sends the mask to the stable argsort,
+        # which still marks the double-argsort ranks below k
         rng = np.random.default_rng(32)
-        argsort_calls = []
-        argsort = np.argsort
-        monkeypatch.setattr(
-            simlab.np, "argsort", lambda *a, **kw: argsort_calls.append(1) or argsort(*a, **kw)
-        )
         for n in (2, 5, 8, 20, 40):
             u = rng.random((n, 500))
             k = rng.integers(0, n + 1, size=500)
+            k[17] = max(k[17], 1)
             simlab._lowest_k_mask(u, k)
             assert not argsort_calls
             u[n - 1, 17] = u[0, 17]
-            ranks = argsort(argsort(u, axis=0, kind="stable"), axis=0, kind="stable")
+            ranks = np.argsort(np.argsort(u, axis=0, kind="stable"), axis=0, kind="stable")
+            argsort_calls.clear()
             np.testing.assert_array_equal(simlab._lowest_k_mask(u, k), ranks < k)
             assert len(argsort_calls) == 1
             argsort_calls.clear()
+
+    def test_ties_in_unsorted_columns_stay_on_the_fast_path(self, argsort_calls):
+        # a column with k_j = 0 is never sorted, so a tie there cannot reach
+        # the argsort, and the column stays all False as the ranks say
+        rng = np.random.default_rng(33)
+        for n in (2, 5, 8, 20, 40):
+            u = rng.random((n, 500))
+            k = rng.integers(0, n + 1, size=500)
+            k[17] = 0
+            u[n - 1, 17] = u[0, 17]
+            ranks = np.argsort(np.argsort(u, axis=0, kind="stable"), axis=0, kind="stable")
+            argsort_calls.clear()
+            np.testing.assert_array_equal(simlab._lowest_k_mask(u, k), ranks < k)
+            assert not argsort_calls
+
+    def test_all_zero_counts_give_an_all_false_mask(self):
+        rng = np.random.default_rng(34)
+        for n in (2, 8, 40):
+            mask = simlab._lowest_k_mask(rng.random((n, 300)), np.zeros(300, dtype=np.int64))
+            assert mask.shape == (n, 300) and mask.dtype == np.bool_
+            assert not mask.any()
 
     def test_deterministic_per_replication(self):
         sc = scenario(M=500)
