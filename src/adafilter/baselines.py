@@ -139,6 +139,10 @@ def direct_adjust(
             # m*P_(i)/i from the top equals, within a block of ties, its value
             # at the block's last position, so any tie order gives the same values
             order = np.argsort(np.where(testable, pc, np.inf))[:m_t]
-            scaled = pc[order] * (m_t / np.arange(1, m_t + 1))
-            adjusted[order] = np.minimum(1.0, np.minimum.accumulate(scaled[::-1])[::-1])
+            # one buffer: m/i, then m*P_(i)/i, then its running minimum from the top
+            ladder = np.arange(1, m_t + 1, dtype=np.float64)
+            np.divide(m_t, ladder, out=ladder)
+            np.multiply(pc[order], ladder, out=ladder)
+            np.minimum.accumulate(ladder[::-1], out=ladder[::-1])
+            adjusted[order] = np.minimum(ladder, 1.0, out=ladder)
     return _decision(method, alpha, cutoff, pc, testable, adjusted)

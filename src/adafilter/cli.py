@@ -92,8 +92,15 @@ def _resolve_threads(value: int | None) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a malformed command line like any bad input: exit 1, one error: line."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adafilter",
         description="Adaptive filtering procedures for partial-conjunction hypotheses",
     )
@@ -123,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "test":
             return cmd_test(args)
         if args.command == "simulate":

@@ -100,10 +100,13 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     Entries must lie in [0, 1]; NaN marks a missing entry. Each column needs
     at least one observed entry. ``ids``, when given, must provide one unique
     identifier per column. Error payloads report 1-based (row, column)
-    positions since they describe input files.
+    positions since they describe input files. Beside its copy it allocates
+    about one row: the range check is two NaN-skipping reductions (a mask is
+    built only to name a bad entry), and the empty-column check ANDs the
+    rows' NaN masks one at a time.
     """
     # adding 0.0 copies the input, C-ordered, and turns each -0.0 into +0.0
-    # (NaN stays NaN); the axis-0 counts and the column sort then read whole rows
+    # (NaN stays NaN); the empty-column check and the column sort then read whole rows
     arr = np.add(np.asarray(values, dtype=np.float64), 0.0, order="C")
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d grid of p-values, got {arr.ndim} dimension(s)")
@@ -111,16 +114,16 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     if n < 1 or m < 1:
         raise DimensionMismatch(f"grid must be at least 1x1, got {n}x{m}")
 
-    with np.errstate(invalid="ignore"):
-        bad = (arr < 0.0) | (arr > 1.0)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    if np.fmin.reduce(arr, axis=None) < 0.0 or np.fmax.reduce(arr, axis=None) > 1.0:
+        with np.errstate(invalid="ignore"):
+            i, j = np.argwhere((arr < 0.0) | (arr > 1.0))[0]
         raise OutOfRangeEntry(int(i) + 1, int(j) + 1, float(arr[i, j]))
 
-    observed = np.count_nonzero(~np.isnan(arr), axis=0)
-    if (observed == 0).any():
-        j = int(np.flatnonzero(observed == 0)[0])
-        raise EmptyColumn(j + 1)
+    empty = np.isnan(arr[0])
+    for row in arr[1:]:
+        empty &= np.isnan(row)
+    if empty.any():
+        raise EmptyColumn(int(np.flatnonzero(empty)[0]) + 1)
 
     id_tuple: tuple[str, ...] | None = None
     if ids is not None:
@@ -145,17 +148,19 @@ def _chi_square_sf_even(x: NDArray[np.float64], df: int) -> NDArray[np.float64]:
     Uses the closed-form Poisson sum exp(-x/2) * sum_{k<df/2} (x/2)^k / k!,
     which is exact for even df and free of cancellation (all terms positive).
     Absolute error is below 1e-12. Values are capped at 1 and x = +inf gives 0.
+    It allocates four arrays the size of x, x/2, term, total and one scratch.
     """
     half = 0.5 * np.asarray(x, dtype=np.float64)
     total = np.ones_like(half)
     term = np.ones_like(half)
+    scratch = np.empty_like(half)
     for k in range(1, df // 2):
-        term = term * (half / k)
-        total = total + term
+        np.multiply(term, np.divide(half, k, out=scratch), out=term)
+        np.add(total, term, out=total)
     with np.errstate(invalid="ignore", over="ignore"):
-        raw = np.exp(-half) * total
-    out = np.where(half >= 1490.0, 0.0, raw)
-    return np.minimum(out, 1.0)
+        np.multiply(np.exp(np.negative(half, out=scratch), out=scratch), total, out=total)
+    total[half >= 1490.0] = 0.0
+    return np.minimum(total, 1.0, out=total)
 
 
 def pc_pvalue(column: object, r: int, kind: PCCombinerKind) -> float:
@@ -247,37 +252,68 @@ def _pc_pvalues_from_sorted(
 ) -> NDArray[np.float64]:
     """Vectorized PC p-values for every column of a pre-sorted matrix.
 
-    Columns with n_j < r get NaN. Columns are processed in groups sharing
-    the same n_j, each group's tail a C-ordered (k, columns) block, so the
-    reductions over k run along whole rows. Fisher at k >= 8 keeps the
-    Fortran-ordered gather: there np.sum adds each column pairwise, and
-    along rows it would add in another order and differ in the last bits.
+    Columns with n_j < r get NaN. Each group of columns sharing one n_j is
+    combined one tail row at a time, so the temporaries are a few rows for
+    any k: a row is a view when every column is in the group and is gathered
+    into a reused buffer otherwise. Fisher adds its logs in np.sum's pairwise
+    order (_log_sum), so every combiner keeps the bits of a per-column formula.
     """
     m = sorted_values.shape[1]
+    counts = np.bincount(n_per_hyp)
     out = np.full(m, np.nan, dtype=np.float64)
-    for n_j in np.flatnonzero(np.bincount(n_per_hyp)):
-        n_j = int(n_j)
-        if n_j < r:
-            continue
-        cols = np.flatnonzero(n_per_hyp == n_j)
-        k = n_j - r + 1
-        rows = sorted_values[r - 1 : n_j]
-        if kind is PCCombinerKind.FISHER and k >= 8:
-            tail = rows[:, cols]
-        elif cols.size == m:
-            tail = rows
-        else:
-            tail = np.take(rows, cols, axis=1)
+    for n_j in np.flatnonzero(counts[r:]) + r:
+        rows, k = sorted_values[r - 1 : n_j], int(n_j) - r + 1
+        cols = None if counts[n_j] == m else np.flatnonzero(n_per_hyp == n_j)
+        vals = out if cols is None else np.empty(cols.size)
         if kind is PCCombinerKind.BONFERRONI:
-            vals = k * tail[0]
+            np.multiply(_tail_row(rows, cols, 0, vals), k, out=vals)
         elif kind is PCCombinerKind.SIMES:
-            ranks = np.arange(1, k + 1, dtype=np.float64)
-            vals = np.min(k * tail / ranks[:, None], axis=0)
+            # running minimum over the ranks i of (k * P_(r-1+i)) / i
+            np.multiply(_tail_row(rows, cols, 0, vals), k, out=vals)
+            scaled = np.empty_like(vals)
+            for i in range(1, k):
+                np.multiply(_tail_row(rows, cols, i, scaled), k, out=scaled)
+                np.minimum(vals, np.divide(scaled, i + 1, out=scaled), out=vals)
         elif kind is PCCombinerKind.FISHER:
             with np.errstate(divide="ignore"):
-                stat = -2.0 * np.sum(np.log(tail), axis=0)
-            vals = _chi_square_sf_even(stat, 2 * k)
+                stat = np.multiply(_log_sum(rows, cols, vals), -2.0, out=vals)
+            vals[:] = _chi_square_sf_even(stat, 2 * k)
         else:
             raise TypeError(f"unknown combiner kind {kind!r}")
-        out[cols] = np.minimum(vals, 1.0)
+        np.minimum(vals, 1.0, out=vals)
+        if cols is not None:
+            out[cols] = vals
     return out
+
+
+def _tail_row(rows, cols, i: int, buf: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Row i of a group's tail: a view of rows[i], or its cols gathered into buf."""
+    # mode="clip" (no index is out of range) lets np.take write straight into buf
+    return rows[i] if cols is None else np.take(rows[i], cols, out=buf, mode="clip")
+
+
+def _log_sum(rows, cols, total: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sum over the tail rows of np.log of each, written into total, in the
+    order of numpy's pairwise sum along a contiguous axis (Higham 1993): below
+    8 terms in sequence; up to 128 in 8 interleaved partial sums, combined as
+    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the rest in
+    sequence; above 128 the two halves, split at a multiple of 8, each so.
+    """
+    n = rows.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _log_sum(rows[:half], cols, total)
+        total += _log_sum(rows[half:], cols, np.empty_like(total))
+        return total
+    lanes = [total] + [np.empty_like(total) for _ in range(7 if n >= 8 else 0)]
+    for i, lane in enumerate(lanes):
+        np.log(_tail_row(rows, cols, i, lane), out=lane)
+    scratch = np.empty_like(total)
+    stop = n - n % len(lanes)
+    for i in range(len(lanes), stop):
+        lanes[i % len(lanes)] += np.log(_tail_row(rows, cols, i, scratch), out=scratch)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)) if n >= 8 else ():
+        lanes[a] += lanes[b]
+    for i in range(stop, n):
+        total += np.log(_tail_row(rows, cols, i, scratch), out=scratch)
+    return total

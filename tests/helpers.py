@@ -229,3 +229,75 @@ def gathered_pc_pvalues(sorted_values, n_per_hyp, r: int, kind: af.PCCombinerKin
                 vals = _chi_square_sf_even(-2.0 * np.sum(np.log(tail), axis=0), 2 * k)
         out[cols] = np.minimum(vals, 1.0)
     return out
+
+
+GOLDEN_SEED = 20261019
+# Fully observed columns planted at the end of the golden matrix. Each prints
+# a different 12th digit under a reordering of its combiner's arithmetic that
+# is exact in real numbers: Simes at k = 11 (r = 2) gives (11 P)/11 here and
+# 11 (P/11) one ulp away, across a rounding boundary of %.12g; Fisher's
+# pairwise sum of 11 (r = 2) and of 8 (r = 5) logs differs from their
+# sequential sum
+GOLDEN_PLANTED = (
+    [0.04450319927065] * 12,
+    [0.144, 0.168, 0.227, 0.274, 0.367, 0.376, 0.703, 0.711, 0.902, 0.945, 0.950, 0.992],
+    [0.005, 0.039, 0.152, 0.159, 0.221, 0.260, 0.354, 0.495, 0.702, 0.836, 0.846, 0.922],
+)
+
+
+def golden_values(m: int = 3000, n: int = 12) -> np.ndarray:
+    """The n x m matrix behind the CLI digest table, a pure function of GOLDEN_SEED.
+
+    Shaped like the benchmark inputs: 5% missing entries, a replicated signal
+    in about 10% of the columns, a quarter of the studies rounded to 3
+    decimals (ties), exact 0 and 1 entries, and the GOLDEN_PLANTED columns
+    last. With 5% missing, n_j is mixed, and the columns with n_j = 12 give
+    Fisher k = 11 at r = 2 and k = 8 at r = 5.
+    """
+    rng = np.random.Generator(np.random.PCG64(GOLDEN_SEED))
+    values = rng.random((n, m))
+    signal = rng.random(m) < 0.1
+    nonnull = signal & (rng.random((n, m)) < 0.7)
+    values[nonnull] = rng.random(np.count_nonzero(nonnull)) ** 12
+    rounded = rng.choice(n, size=n // 4, replace=False)
+    values[rounded] = np.round(values[rounded], 3)
+    spike = rng.random((n, m))
+    values[spike < 0.005] = 0.0
+    values[spike > 0.995] = 1.0
+    missing = rng.random((n, m)) < 0.05
+    missing[0, missing.all(axis=0)] = False
+    values[missing] = np.nan
+    values[:, -len(GOLDEN_PLANTED):] = np.array(GOLDEN_PLANTED).T
+    return values
+
+
+def matrix_csv(values: np.ndarray, r_layout: bool = False) -> bytes:
+    """CSV text of a matrix, one row per hypothesis, NA for missing entries.
+
+    Cells are the shortest decimal that reads back as the same float. With
+    r_layout, R's write.csv layout: every header cell quoted, the first one
+    empty, and every id quoted.
+    """
+    n, m = values.shape
+    names = [f"s{i + 1}" for i in range(n)]
+    ids = [f"h{j:05d}" for j in range(m)]
+    if r_layout:
+        names = [""] + names
+        names, ids = [f'"{x}"' for x in names], [f'"{x}"' for x in ids]
+    else:
+        names = ["id"] + names
+    lines = [",".join(names)]
+    for ident, row in zip(ids, values.T.tolist()):
+        lines.append(ident + "," + ",".join("NA" if x != x else repr(x) for x in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# Direct BH compares P_(k) with alpha * (k/m), which rounds twice: at alpha =
+# 0.05, m = 10 the seventh rung is 0.034999999999999996, so P_(7) = 0.035 is
+# not rejected although 0.035 <= 7 * 0.05 / 10; 6 rejections at r = 2
+DIRECT_BH_RUNG_CSV = (
+    "id,s1,s2\n"
+    + "".join(f"g{j},0.001,0.001\n" for j in range(1, 7))
+    + "g7,0.035,0.01\n"
+    + "".join(f"g{j},0.9,0.9\n" for j in range(8, 11))
+)

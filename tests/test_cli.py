@@ -424,21 +424,45 @@ class TestMainEntry:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_method_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "test",
-                    "--input",
-                    "x.csv",
-                    "--output",
-                    "y.tsv",
-                    "--method",
-                    "magic",
-                    "--r",
-                    "2",
-                ]
-            )
+    def test_unknown_method_rejected_by_parser(self, tmp_path, capsys):
+        code = main(
+            ["test", "--input", "x.csv", "--output", "y.tsv", "--method", "magic", "--r", "2"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --method: invalid choice: 'magic'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--r", "abc"], "argument --r: invalid int value: 'abc'"),
+            (["--r", "2", "--alpha", "0.05x"], "argument --alpha: invalid float value: '0.05x'"),
+            (["--method", "adafilter-bh"], "the following arguments are required: --r"),
+        ],
+        ids=("r", "alpha", "missing-r"),
+    )
+    def test_malformed_flags_exit_one_with_one_line(self, tmp_path, capsys, flags, message):
+        argv = ["test", "--input", "x.csv", "--output", str(tmp_path / "y.tsv")]
+        if "--method" not in flags:
+            argv += ["--method", "adafilter-bh"]
+        assert main(argv + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "y.tsv").exists()
+
+    def test_missing_subcommand_exits_one(self, capsys):
+        assert main([]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the following arguments are required: command")
+        assert err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--help"])
+        assert exc.value.code == 0
+        assert "--method" in capsys.readouterr().out
 
     def test_non_utf8_input_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "in.csv"

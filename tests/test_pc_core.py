@@ -1,6 +1,7 @@
 """Matrix validation, column sorting, and partial-conjunction combiners."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,7 +18,12 @@ from adafilter.errors import (
     OutOfRangeEntry,
     ReplicabilityLevelOutOfRange,
 )
-from adafilter.pc_core import _chi_square_sf_even, _column_sorted, _pc_pvalues_from_sorted
+from adafilter.pc_core import (
+    _chi_square_sf_even,
+    _column_sorted,
+    _pc_pvalues_from_sorted,
+    validate_matrix,
+)
 
 NAN = float("nan")
 COMBINERS = (
@@ -321,12 +327,14 @@ class TestCombinerProperties:
                         assert got[j] == want
 
     def test_row_slices_match_gathered_tails(self):
-        # equal n_j reads the C-ordered slice, mixed n_j np.take, and Fisher
-        # at k >= 8 the Fortran-ordered gather; all must equal the gather's bits
+        # equal n_j reads row views and mixed n_j gathers each row, and Fisher
+        # adds its logs row by row in np.sum's pairwise order (8 partial sums
+        # from k = 8, two halves above k = 128); all must equal the bits of
+        # the Fortran-ordered gather, whose np.sum adds each column pairwise
         import helpers
 
         rng = np.random.default_rng(13)
-        for n in (2, 3, 8, 9, 15, 21):
+        for n in (2, 3, 8, 9, 15, 21, 140):
             for mixed in (False, True):
                 values = rng.random((n, 300)) ** 3
                 values[rng.random((n, 300)) < 0.05] = 0.0
@@ -334,7 +342,7 @@ class TestCombinerProperties:
                     values[rng.random((n, 300)) < 0.3] = NAN
                     values[0] = rng.random(300)
                 mat = af.validate_matrix(values)
-                for r in range(2, n + 1):
+                for r in range(2, n + 1) if n < 100 else (2, 12, 13, n):
                     for kind in COMBINERS:
                         got = _pc_pvalues_from_sorted(mat.sorted_values, mat.n_per_hyp, r, kind)
                         want = helpers.gathered_pc_pvalues(
@@ -357,3 +365,42 @@ class TestCombinerProperties:
                     freq = float(np.mean(pc <= gamma))
                     se = math.sqrt(gamma * (1 - gamma) / draws)
                     assert freq <= gamma + 3 * se, (n, r, kind, gamma, freq)
+
+
+class TestMemoryBound:
+    """Peak memory of the direct path at 2e5 x 8, r = 4, with mixed n_j.
+
+    numpy reports its allocations to tracemalloc, so the traced peak counts
+    every temporary. One unit is one float64 array of length M.
+    """
+
+    M = 200_000
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        rng = np.random.default_rng(19)
+        values = rng.random((8, self.M))
+        values[rng.random((8, self.M)) < 0.05] = NAN
+        return values
+
+    def arrays(self, fn, *args) -> float:
+        """Traced peak of one call, its result included, in arrays of length M."""
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result is not None
+        return peak / (8 * self.M)
+
+    def test_combiners_hold_a_few_rows(self, values):
+        mat = validate_matrix(values)
+        assert len(np.unique(mat.n_per_hyp)) > 2
+        for kind in COMBINERS:
+            peak = self.arrays(_pc_pvalues_from_sorted, mat.sorted_values, mat.n_per_hyp, 4, kind)
+            assert peak <= 6.0, (kind, peak)
+
+    def test_validation_holds_little_beside_its_copy(self, values):
+        # the copy it keeps is 8 arrays
+        assert self.arrays(validate_matrix, values) <= 9.0
