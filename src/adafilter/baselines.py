@@ -70,29 +70,27 @@ def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResu
 
 
 def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bool_], float]:
-    """Classic BH step-up on a 1-d array of p-values.
+    """Classic BH step-up on a 1-d array of p-values at a level alpha >= 0.
 
     Returns the rejection mask and the p-value cutoff actually applied
     (0.0 when nothing is rejected). Ties at the cutoff are all rejected.
     """
-    ascending = np.sort(pvalues)
-    k_star = _bh_count(ascending, alpha, pvalues.shape[0])
-    if k_star == 0:
-        return np.zeros(pvalues.shape[0], dtype=bool), 0.0
-    cutoff = float(ascending[k_star - 1])
+    cutoff = _bh_cutoff(pvalues, alpha, len(pvalues))
     return pvalues <= cutoff, cutoff
 
 
-def _bh_count(ascending: NDArray[np.float64], alpha: float, m: int) -> int:
-    """Step-up rejection count among m p-values: the largest k with P_(k) <= alpha * (k/m), else 0.
+def _bh_cutoff(pvalues: NDArray[np.float64], alpha: float, m: int) -> float:
+    """BH step-up cutoff among m p-values: P_(k*) for the largest k* with
+    P_(k*) <= alpha * (k*/m), else 0.0.
 
-    ascending is a sorted prefix of the m p-values that holds every one at or
-    below alpha: P_(k) <= alpha * (k/m) implies P_(k) <= alpha, so no larger
-    one can count, and the ladder's first entries are the same floats as the
-    full ladder's.
+    It sorts only the P <= alpha, since P_(k) <= alpha * (k/m) implies
+    P_(k) <= alpha; the first rungs of its ladder are the full ladder's floats.
+    NaN fails P <= alpha, so it is never rejected, though m may count it.
+    With alpha >= 0 a P = 0 is always rejected, so the cutoff 0.0 rejects none.
     """
-    ok = np.flatnonzero(ascending <= alpha * (np.arange(1, ascending.shape[0] + 1) / m))
-    return int(ok[-1]) + 1 if ok.size else 0
+    head = np.sort(pvalues[pvalues <= alpha])
+    ok = np.flatnonzero(head <= alpha * (np.arange(1, head.shape[0] + 1) / m))
+    return float(head[ok[-1]]) if ok.size else 0.0
 
 
 def direct_adjust(
@@ -124,12 +122,7 @@ def direct_adjust(
             adjusted = np.minimum(1.0, pc * m_t)
     else:
         method = ProcedureKind.DIRECT_BH
-        # NaN (untestable) fails P <= alpha, so only testable values are sorted
-        head = np.sort(pc[pc <= alpha])
-        k_star = _bh_count(head, alpha, m_t)
-        # when nothing is rejected the cutoff is 0.0 and no P is 0 (a 0 is
-        # always rejected), so P <= cutoff reproduces the step-up's mask
-        cutoff = float(head[k_star - 1]) if k_star else 0.0
+        cutoff = _bh_cutoff(pc, alpha, m_t)
         if compute_adjusted:
             # allocated before the argsort's temporaries: allocated after them,
             # this long-lived array raised peak RSS by about 15 MB at M = 1e6

@@ -9,6 +9,7 @@ column j and is always derived from the values, never passed in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -145,22 +146,49 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
 def _chi_square_sf_even(x: NDArray[np.float64], df: int) -> NDArray[np.float64]:
     """Chi-square survival function at each x >= 0 (NaN stays NaN) for one even df > 0.
 
-    Uses the closed-form Poisson sum exp(-x/2) * sum_{k<df/2} (x/2)^k / k!,
-    which is exact for even df and free of cancellation (all terms positive).
-    Absolute error is below 1e-12. Values are capped at 1 and x = +inf gives 0.
+    It is the Poisson probability P(N < df/2) at mean x/2. Up to x/2 = 700
+    that is the closed form exp(-x/2) * sum_{k<df/2} (x/2)^k / k!, exact for
+    even df and free of cancellation (all terms positive): exp(-x/2) is a
+    normal float there and the sum is at most e^(x/2). The first goes
+    subnormal from x/2 = 708 and the second overflows from 709, so above 700
+    _poisson_cdf_large takes each Poisson term from its logarithm. Against
+    mpmath, for df up to 2,000, the relative error stayed below 2e-13 wherever
+    the value is a normal float. Values are capped at 1 and x = +inf gives 0.
     It allocates four arrays the size of x, x/2, term, total and one scratch.
     """
     half = 0.5 * np.asarray(x, dtype=np.float64)
     total = np.ones_like(half)
     term = np.ones_like(half)
     scratch = np.empty_like(half)
-    for k in range(1, df // 2):
-        np.multiply(term, np.divide(half, k, out=scratch), out=term)
-        np.add(total, term, out=total)
+    # only x/2 > 700 can overflow here, and _poisson_cdf_large replaces those
     with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(1, df // 2):
+            np.multiply(term, np.divide(half, k, out=scratch), out=term)
+            np.add(total, term, out=total)
         np.multiply(np.exp(np.negative(half, out=scratch), out=scratch), total, out=total)
-    total[half >= 1490.0] = 0.0
+    large = half > 700.0
+    if large.any():
+        total[large] = _poisson_cdf_large(half[large], df // 2)
     return np.minimum(total, 1.0, out=total)
+
+
+def _poisson_cdf_large(lam: NDArray[np.float64], n: int) -> NDArray[np.float64]:
+    """P(N < n) for N ~ Poisson(lam) at each lam > 700 (+inf gives 0).
+
+    The k-th term is exp(-(k log(k/lam) + lam - k) - c_k), c_k = log k! -
+    k log k + k (Loader 2000), each at most 1. Written so, no exponent is a
+    small difference of large numbers: as k log(lam) - lgamma(k+1) - lam the
+    terms lost up to 9e-13 relative at df = 1900. c_k is summed from its
+    increments 1 - k log1p(1/k), which do not cancel either.
+    """
+    total = np.exp(np.negative(lam))
+    c = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # lam = +inf: reset below
+        for k in range(1, n):
+            total += np.exp(-(k * np.log(k / lam) + lam - k) - c)
+            c += 1.0 - k * math.log1p(1.0 / k)
+    total[np.isinf(lam)] = 0.0
+    return total
 
 
 def pc_pvalue(column: object, r: int, kind: PCCombinerKind) -> float:
@@ -250,37 +278,34 @@ def _pc_pvalues_from_sorted(
     r: int,
     kind: PCCombinerKind,
 ) -> NDArray[np.float64]:
-    """Vectorized PC p-values for every column of a pre-sorted matrix.
+    """Vectorized PC p-values for every column of a pre-sorted matrix, with
+    the bits of a per-column formula and a few rows of temporaries.
 
-    Columns with n_j < r get NaN. Each group of columns sharing one n_j is
-    combined one tail row at a time, so the temporaries are a few rows for
-    any k: a row is a view when every column is in the group and is gathered
-    into a reused buffer otherwise. Fisher adds its logs in np.sum's pairwise
-    order (_log_sum), so every combiner keeps the bits of a per-column formula.
+    Columns with n_j < r get NaN, as their row r-1 is. Bonferroni and Simes
+    read whole rows, each column scaled by its own k = n_j - r + 1; a row past
+    n_j is NaN, which np.fmin skips. Only Fisher, whose pairwise log sum
+    (_log_sum) and degrees of freedom depend on k, groups columns by n_j.
     """
-    m = sorted_values.shape[1]
+    if kind is PCCombinerKind.BONFERRONI or kind is PCCombinerKind.SIMES:
+        k = np.subtract(n_per_hyp, r - 1, dtype=np.float64)
+        out = np.multiply(sorted_values[r - 1], k)
+        if kind is PCCombinerKind.SIMES:
+            # running minimum over the ranks i of (k * P_(r-1+i)) / i
+            scaled = np.empty_like(out)
+            for i, row in enumerate(sorted_values[r:], start=2):
+                np.fmin(out, np.divide(np.multiply(row, k, out=scaled), i, out=scaled), out=out)
+        return np.minimum(out, 1.0, out=out)
+    if kind is not PCCombinerKind.FISHER:
+        raise TypeError(f"unknown combiner kind {kind!r}")
     counts = np.bincount(n_per_hyp)
-    out = np.full(m, np.nan, dtype=np.float64)
+    out = np.full(sorted_values.shape[1], np.nan)
     for n_j in np.flatnonzero(counts[r:]) + r:
         rows, k = sorted_values[r - 1 : n_j], int(n_j) - r + 1
-        cols = None if counts[n_j] == m else np.flatnonzero(n_per_hyp == n_j)
+        cols = None if counts[n_j] == out.size else np.flatnonzero(n_per_hyp == n_j)
         vals = out if cols is None else np.empty(cols.size)
-        if kind is PCCombinerKind.BONFERRONI:
-            np.multiply(_tail_row(rows, cols, 0, vals), k, out=vals)
-        elif kind is PCCombinerKind.SIMES:
-            # running minimum over the ranks i of (k * P_(r-1+i)) / i
-            np.multiply(_tail_row(rows, cols, 0, vals), k, out=vals)
-            scaled = np.empty_like(vals)
-            for i in range(1, k):
-                np.multiply(_tail_row(rows, cols, i, scaled), k, out=scaled)
-                np.minimum(vals, np.divide(scaled, i + 1, out=scaled), out=vals)
-        elif kind is PCCombinerKind.FISHER:
-            with np.errstate(divide="ignore"):
-                stat = np.multiply(_log_sum(rows, cols, vals), -2.0, out=vals)
-            vals[:] = _chi_square_sf_even(stat, 2 * k)
-        else:
-            raise TypeError(f"unknown combiner kind {kind!r}")
-        np.minimum(vals, 1.0, out=vals)
+        with np.errstate(divide="ignore"):
+            stat = np.multiply(_log_sum(rows, cols, vals), -2.0, out=vals)
+        vals[:] = _chi_square_sf_even(stat, 2 * k)
         if cols is not None:
             out[cols] = vals
     return out

@@ -46,6 +46,25 @@ class TestBhStepup:
         assert not mask.any()
         assert cutoff == 0.0
 
+    @pytest.mark.parametrize(
+        ("pvalues", "alpha", "want_mask", "want_cutoff"),
+        [
+            ([], 0.05, [], 0.0),
+            # NaN counts in m = 2, so 0.03 misses its rung alpha/2 and 0.01 meets it
+            ([0.03, NAN], 0.05, [False, False], 0.0),
+            ([0.01, NAN], 0.05, [True, False], 0.01),
+            # a lone 0 is rejected with the cutoff 0.0 that also means "none"
+            ([0.5, 0.0, 0.9], 0.05, [False, True, False], 0.0),
+            ([0.2, 0.3, 0.7], 0.1, [False, False, False], 0.0),
+            ([1.0, 0.5, 1.0], 1.0, [True, True, True], 1.0),
+        ],
+    )
+    def test_edge_inputs(self, pvalues, alpha, want_mask, want_cutoff):
+        mask, cutoff = bh_stepup(np.array(pvalues, dtype=np.float64), alpha)
+        assert mask.dtype == np.bool_
+        assert mask.tolist() == want_mask
+        assert cutoff == want_cutoff
+
     def test_matches_reference_with_ties(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
