@@ -70,12 +70,12 @@ def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResu
 
 
 def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bool_], float]:
-    """Classic BH step-up on a 1-d array of p-values at a level alpha >= 0.
+    """Classic BH step-up on a 1-d array of p-values at a level alpha in (0, 1].
 
     Returns the rejection mask and the p-value cutoff actually applied
     (0.0 when nothing is rejected). Ties at the cutoff are all rejected.
     """
-    cutoff = _bh_cutoff(pvalues, alpha, len(pvalues))
+    cutoff = _bh_cutoff(pvalues, _check_alpha(alpha), len(pvalues))
     return pvalues <= cutoff, cutoff
 
 

@@ -101,10 +101,11 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     Entries must lie in [0, 1]; NaN marks a missing entry. Each column needs
     at least one observed entry. ``ids``, when given, must provide one unique
     identifier per column. Error payloads report 1-based (row, column)
-    positions since they describe input files. Beside its copy it allocates
-    about one row: the range check is two NaN-skipping reductions (a mask is
-    built only to name a bad entry), and the empty-column check ANDs the
-    rows' NaN masks one at a time.
+    positions since they describe input files. An empty column is reported
+    last, as the CSV reader finds it only after reading every line. Beside
+    its copy it allocates about one row: the range check is two NaN-skipping
+    reductions (a mask is built only to name a bad entry), and the
+    empty-column check ANDs the rows' NaN masks one at a time.
     """
     # adding 0.0 copies the input, C-ordered, and turns each -0.0 into +0.0
     # (NaN stays NaN); the empty-column check and the column sort then read whole rows
@@ -120,12 +121,6 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
             i, j = np.argwhere((arr < 0.0) | (arr > 1.0))[0]
         raise OutOfRangeEntry(int(i) + 1, int(j) + 1, float(arr[i, j]))
 
-    empty = np.isnan(arr[0])
-    for row in arr[1:]:
-        empty &= np.isnan(row)
-    if empty.any():
-        raise EmptyColumn(int(np.flatnonzero(empty)[0]) + 1)
-
     id_tuple: tuple[str, ...] | None = None
     if ids is not None:
         id_tuple = tuple(str(x) for x in ids)
@@ -133,11 +128,18 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
             raise DimensionMismatch(
                 f"got {len(id_tuple)} ids for {m} hypothesis columns"
             )
-        seen: set[str] = set()
-        for ident in id_tuple:
-            if ident in seen:
-                raise DuplicateIdentifier(ident)
-            seen.add(ident)
+        if len(set(id_tuple)) != m:
+            seen: set[str] = set()
+            for ident in id_tuple:
+                if ident in seen:
+                    raise DuplicateIdentifier(ident)
+                seen.add(ident)
+
+    empty = np.isnan(arr[0])
+    for row in arr[1:]:
+        empty &= np.isnan(row)
+    if empty.any():
+        raise EmptyColumn(int(np.flatnonzero(empty)[0]) + 1)
 
     arr.setflags(write=False)
     return PValueMatrix(values=arr, ids=id_tuple)
@@ -203,12 +205,6 @@ def pc_pvalue(column: object, r: int, kind: PCCombinerKind) -> float:
     return float(matrix.pc_pvalues(r, kind)[0])
 
 
-# Row count up to which _sort_columns runs the comparator network. At n = 32
-# it took 3.5 ms against np.sort's 8.0 ms at M = 1e4 and 0.54 s against 1.02 s
-# at M = 1e6. It wins further up too, but it makes three numpy calls per
-# comparator, about 2.7 us each at any M, and the comparators grow as
-# n log^2 n (191 at n = 32, 1007 at 96): one column of 96 took 2.7 ms, not 2 us.
-_NETWORK_MAX_ROWS = 32
 # columns sorted at a time, so that every row of a block stays in cache: at
 # 1e6 x 8 the network took 58 ms in blocks against 121 ms over whole rows
 _NETWORK_BLOCK = 16384
@@ -229,21 +225,16 @@ def _column_sorted(values: NDArray[np.float64]) -> NDArray[np.float64]:
 def _sort_columns(a: NDArray[np.float64]) -> None:
     """Sort each column of a C-ordered array of entries in [0, 1] or NaN in place, NaN last.
 
-    Up to _NETWORK_MAX_ROWS rows this runs Batcher's odd-even merge network
-    (Knuth, TAOCP 3, 5.3.4, Algorithm M): each comparator is one np.fmin and
-    one np.maximum over two whole rows, which beats numpy's strided
-    per-column sort. np.fmin ignores NaN and np.maximum propagates it, so a
+    This runs Batcher's odd-even merge network (Knuth, TAOCP 3, 5.3.4,
+    Algorithm M): each comparator is one np.fmin and one np.maximum over two
+    whole rows, which beats numpy's strided per-column sort from about 1,000
+    columns, at any n. Below that np.sort wins: the network pays three numpy
+    calls per comparator, and the comparators grow as n log^2 n (191 at
+    n = 32, 1,007 at 96). np.fmin ignores NaN and np.maximum propagates it, so a
     comparator treats NaN as the largest key. Equal values are bitwise equal,
-    so the result matches any sort. Above that, ndarray.sort, with NaN sorted
-    as +inf (no entry in [0, 1] equals it): its stable sort ran 9-25% slower
-    on NaN than on +inf at n = 33..100.
+    so the result matches any sort.
     """
     n, m = a.shape
-    if n > _NETWORK_MAX_ROWS:
-        np.copyto(a, np.inf, where=np.isnan(a))
-        a.sort(axis=0, kind="stable")
-        np.copyto(a, np.nan, where=np.isinf(a))
-        return
     pairs = _merge_exchange_pairs(n)
     low = np.empty(min(m, _NETWORK_BLOCK))
     for start in range(0, m, _NETWORK_BLOCK):

@@ -68,8 +68,9 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
     - every row has as many cells as the header;
     - there is one NaN per NA cell and no other, so a literal nan never
       passes as missing;
-    - every other value lies in [0, 1], the ids are unique, and loadtxt gave
-      no warning (it warns on a chunk without data rows).
+    - loadtxt gave no warning (it warns on a chunk without data rows), and
+      validate_matrix finds every other value in [0, 1] and the ids unique.
+      Its EmptyColumn, which it checks last, is the per-cell reader's too.
     """
     limit = csv.field_size_limit()
 
@@ -111,12 +112,12 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
     if caught or m == 0 or commas != m * n_studies:
         return None
     values = np.concatenate(blocks)
-    n_nan = int(np.count_nonzero(np.isnan(values)))
-    in_range = int(np.count_nonzero((values >= 0.0) & (values <= 1.0)))
-    if (values.shape != (m, n_studies) or n_nan != missing or in_range + n_nan != values.size
-            or len(set(ids)) != m):
+    if values.shape != (m, n_studies) or np.count_nonzero(np.isnan(values)) != missing:
         return None
-    return validate_matrix(values.T, ids=ids)
+    try:
+        return validate_matrix(values.T, ids=ids)
+    except (OutOfRangeEntry, DuplicateIdentifier):  # the per-cell reader names the line
+        return None
 
 
 def _unquoted(cells: list[str], quotes: int) -> list[str] | None:

@@ -245,14 +245,14 @@ GOLDEN_PLANTED = (
 )
 
 
-def golden_values(m: int = 3000, n: int = 12) -> np.ndarray:
+def golden_values(m: int = 3000, n: int = 12, planted=GOLDEN_PLANTED) -> np.ndarray:
     """The n x m matrix behind the CLI digest table, a pure function of GOLDEN_SEED.
 
     Shaped like the benchmark inputs: 5% missing entries, a replicated signal
     in about 10% of the columns, a quarter of the studies rounded to 3
-    decimals (ties), exact 0 and 1 entries, and the GOLDEN_PLANTED columns
-    last. With 5% missing, n_j is mixed, and the columns with n_j = 12 give
-    Fisher k = 11 at r = 2 and k = 8 at r = 5.
+    decimals (ties), exact 0 and 1 entries, and the planted columns (each n
+    long) last. With 5% missing, n_j is mixed, and at n = 12 the columns
+    with n_j = 12 give Fisher k = 11 at r = 2 and k = 8 at r = 5.
     """
     rng = np.random.Generator(np.random.PCG64(GOLDEN_SEED))
     values = rng.random((n, m))
@@ -267,7 +267,8 @@ def golden_values(m: int = 3000, n: int = 12) -> np.ndarray:
     missing = rng.random((n, m)) < 0.05
     missing[0, missing.all(axis=0)] = False
     values[missing] = np.nan
-    values[:, -len(GOLDEN_PLANTED):] = np.array(GOLDEN_PLANTED).T
+    if planted:
+        values[:, -len(planted):] = np.array(planted).T
     return values
 
 
@@ -300,4 +301,17 @@ DIRECT_BH_RUNG_CSV = (
     + "".join(f"g{j},0.001,0.001\n" for j in range(1, 7))
     + "g7,0.035,0.01\n"
     + "".join(f"g{j},0.9,0.9\n" for j in range(8, 11))
+)
+
+
+# Adaptive BH at alpha = 0.05, r = 2 (F = the smaller, S = the larger p-value).
+# With G = fl(0.05/3), the interval [G, G + 1 ulp) between two breakpoints is
+# the highest that holds a feasible grid value, and _grid_value_below(G + 1 ulp)
+# returns G itself, which is g1's S: 1 rejection. With gamma0 one ulp lower
+# g1 is not rejected; one ulp higher, g2 is rejected too
+ADAPTIVE_BH_GRID_TIE_CSV = (
+    "id,s1,s2\n"
+    "g1,0.001,0.016666666666666666\n"
+    "g2,0.01666666666666667,0.01666666666666667\n"
+    + "".join(f"g{j},0.01666666666666667,0.9\n" for j in range(3, 10))
 )

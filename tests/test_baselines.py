@@ -65,6 +65,13 @@ class TestBhStepup:
         assert mask.tolist() == want_mask
         assert cutoff == want_cutoff
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, NAN, 2.0])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        # unchecked, alpha = 2 rejects every P <= 2, and a negative or NaN
+        # alpha rejects the exact zeros with cutoff 0.0
+        with pytest.raises(ValidationError):
+            bh_stepup(np.array([0.0, 0.5]), alpha)
+
     def test_matches_reference_with_ties(self):
         rng = np.random.default_rng(3)
         for _ in range(300):

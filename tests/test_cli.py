@@ -16,6 +16,7 @@ from adafilter import tables
 from adafilter.cli import cmd_curve, cmd_test, main
 from adafilter.errors import (
     DuplicateIdentifier,
+    EmptyColumn,
     OutOfRangeEntry,
     ParseError,
     ValidationError,
@@ -154,6 +155,23 @@ class TestIngestCsv:
     def test_bulk_reader_agrees_with_per_cell_reader(self, tmp_path, cell):
         path = write(tmp_path, "m.csv", f"id,s1,s2\ng1,0.5,{cell}\ng2,{cell},0.25\n")
         assert read_outcome(ingest_csv, path) == read_outcome(_ingest_per_cell, path)
+
+    @pytest.mark.parametrize("later", ["", "g1,0.5,0.5\n", "g9,0.5,1.5\n"])
+    def test_empty_column_is_reported_after_every_line_error(self, tmp_path, later):
+        # an all-NA row, then a duplicate id or an out-of-range cell, or nothing
+        text = "id,s1,s2\ng1,0.1,0.2\ng2,NA,NA\n" + later
+        path = write(tmp_path, "m.csv", text)
+        assert read_outcome(ingest_csv, path) == read_outcome(_ingest_per_cell, path)
+
+    def test_empty_column_is_raised_by_the_bulk_path(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "m.csv", "id,s1,s2\ng1,0.1,0.2\ng2,NA,NA\n")
+
+        def per_cell(path):
+            raise AssertionError(f"{path} fell back to the per-cell reader")
+
+        monkeypatch.setattr(tables, "_ingest_per_cell", per_cell)
+        with pytest.raises(EmptyColumn, match="column 2 has"):
+            ingest_csv(path)
 
     def test_bad_cell_reported_before_a_later_undecodable_byte(self, tmp_path):
         # the bulk reader decodes far ahead of the line it parses; the error
