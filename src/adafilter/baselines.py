@@ -8,12 +8,12 @@ full multiplicity cost upfront and are typically very conservative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix
 from .procedures import (
     DecisionResult,
@@ -40,16 +40,12 @@ class AdjustmentKind(Enum):
     BH = "bh"
 
 
-@dataclass(frozen=True)
-class DirectProcedureSpec:
-    """One direct procedure: a PC combiner plus a correction at level alpha."""
-
-    combiner: PCCombinerKind
-    adjustment: AdjustmentKind
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+def DirectProcedureSpec(
+    combiner: PCCombinerKind, adjustment: AdjustmentKind, alpha: float
+) -> Procedure:
+    """The direct Procedure with this combiner, correction and level: the
+    benchmark's spelling, kept until it builds a Procedure (ROADMAP item 2)."""
+    return Procedure(ProcedureKind("direct-" + adjustment.value), alpha, combiner)
 
 
 def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResult:
@@ -61,12 +57,7 @@ def run_procedure(matrix: PValueMatrix, r: int, proc: Procedure) -> DecisionResu
         return adafilter_bonferroni(compute_filter_select(matrix, r), proc.alpha)
     if proc.kind is ProcedureKind.ADAFILTER_BH:
         return adafilter_bh(compute_filter_select(matrix, r), proc.alpha)
-    if proc.kind is ProcedureKind.DIRECT_BONFERRONI:
-        adjustment = AdjustmentKind.BONFERRONI
-    else:
-        adjustment = AdjustmentKind.BH
-    spec = DirectProcedureSpec(proc.combiner, adjustment, proc.alpha)
-    return direct_adjust(matrix, r, spec, compute_adjusted=False)
+    return direct_adjust(matrix, r, proc, compute_adjusted=False)
 
 
 def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bool_], float]:
@@ -94,34 +85,34 @@ def _bh_cutoff(pvalues: NDArray[np.float64], alpha: float, m: int) -> float:
 
 
 def direct_adjust(
-    matrix: PValueMatrix, r: int, spec: DirectProcedureSpec, compute_adjusted: bool = True
+    matrix: PValueMatrix, r: int, proc: Procedure, compute_adjusted: bool = True
 ) -> DecisionResult:
     """Run one direct procedure on a p-value matrix at replicability level r.
 
-    PC p-values are computed per testable column (n_j >= r) with the
-    requested combiner; untestable columns are excluded from the correction
-    and never rejected. gamma0 reports the PC p-value cutoff in use. With
-    compute_adjusted (the default, which the benchmark's decision check
-    reads), adjusted holds standard adjusted p-values (min(1, M_t * P) for
-    Bonferroni, the monotone step-up adjustment for BH); without it adjusted
-    is None and the decision costs one pass plus, for BH, a sort of the
-    P <= alpha.
+    PC p-values are computed per testable column (n_j >= r) with proc's
+    combiner (an adaptive proc, which has none, raises ValidationError);
+    untestable columns are excluded from the correction and never rejected.
+    gamma0 reports the PC p-value cutoff in use. With compute_adjusted (the
+    default, which the benchmark's decision check reads), adjusted holds
+    standard adjusted p-values (min(1, M_t * P) for Bonferroni, the monotone
+    step-up adjustment for BH); without it adjusted is None and the decision
+    costs one pass plus, for BH, a sort of the P <= alpha.
     """
+    if proc.combiner is None:
+        raise ValidationError(f"direct_adjust runs a direct procedure, not {proc.kind.value}")
     testable = matrix.testable(r)
-    alpha = float(spec.alpha)
+    alpha = float(proc.alpha)
 
     # untestable columns have NaN PC p-values, which stay NaN when adjusted
-    pc = matrix.pc_pvalues(r, spec.combiner)
+    pc = matrix.pc_pvalues(r, proc.combiner)
     # r <= max n_j, so at least one column is testable
     m_t = int(np.count_nonzero(testable))
     adjusted = None
-    if spec.adjustment is AdjustmentKind.BONFERRONI:
-        method = ProcedureKind.DIRECT_BONFERRONI
+    if proc.kind is ProcedureKind.DIRECT_BONFERRONI:
         cutoff = alpha / m_t
         if compute_adjusted:
             adjusted = np.minimum(1.0, pc * m_t)
     else:
-        method = ProcedureKind.DIRECT_BH
         cutoff = _bh_cutoff(pc, alpha, m_t)
         if compute_adjusted:
             # allocated before the argsort's temporaries: allocated after them,
@@ -138,4 +129,4 @@ def direct_adjust(
             np.multiply(pc[order], ladder, out=ladder)
             np.minimum.accumulate(ladder[::-1], out=ladder[::-1])
             adjusted[order] = np.minimum(ladder, 1.0, out=ladder)
-    return _decision(method, alpha, cutoff, pc, testable, adjusted)
+    return _decision(proc.kind, alpha, cutoff, pc, testable, adjusted)

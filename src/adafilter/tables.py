@@ -62,7 +62,7 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
     lines where csv.reader ends records. Each chunk's ids are split off and
     its NA cells become nan before loadtxt parses it. The result is returned
     only when it must equal the per-cell reader's:
-    - no NUL character, no line longer than the csv field limit, and no
+    - no NUL or tab character, no line longer than the csv field limit, and no
       quote except pairs that wrap a whole header or id cell (R's write.csv
       layout), so every line splits on its commas as csv.reader splits it;
     - every row has as many cells as the header;
@@ -75,7 +75,7 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
     limit = csv.field_size_limit()
 
     def plain(text: str, lines: list[str]) -> bool:
-        return "\0" not in text and max(map(len, lines)) <= limit
+        return "\0" not in text and "\t" not in text and max(map(len, lines)) <= limit
 
     ids: list[str] = []
     blocks: list[NDArray] = []
@@ -136,8 +136,11 @@ def _ingest_per_cell(path: str) -> PValueMatrix:
     n_studies: int | None = None
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
+        line_num = 0
         try:
-            for lineno, record in enumerate(reader, start=1):
+            for record in reader:
+                # a quoted cell may span lines: name the line the record starts on
+                lineno, line_num = line_num + 1, reader.line_num
                 if not record:
                     continue
                 if n_studies is None:
@@ -149,9 +152,12 @@ def _ingest_per_cell(path: str) -> PValueMatrix:
                     raise ParseError(
                         f"expected {n_studies + 1} cells, got {len(record)}", lineno
                     )
-                if record[0] in ids:
-                    raise DuplicateIdentifier(record[0], lineno)
-                ids[record[0]] = None
+                ident = record[0]
+                if any(c in ident for c in "\t\r\n"):
+                    raise ParseError(f"hypothesis id {ident!r} holds a tab or line break", lineno)
+                if ident in ids:
+                    raise DuplicateIdentifier(ident, lineno)
+                ids[ident] = None
                 rows.append(_parse_cells(record, lineno, len(ids)))
         except csv.Error as exc:
             raise ParseError(str(exc), reader.line_num) from None

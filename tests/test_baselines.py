@@ -13,12 +13,9 @@ import helpers
 NAN = float("nan")
 
 
-def spec(combiner, adjustment, alpha=0.05) -> af.DirectProcedureSpec:
-    return af.DirectProcedureSpec(
-        combiner=af.PCCombinerKind(combiner),
-        adjustment=af.AdjustmentKind(adjustment),
-        alpha=alpha,
-    )
+def direct(combiner, adjustment, alpha=0.05) -> af.Procedure:
+    kind = af.ProcedureKind("direct-" + adjustment)
+    return af.Procedure(kind, alpha, af.PCCombinerKind(combiner))
 
 
 def naive_bh(pvalues, alpha):
@@ -90,7 +87,7 @@ class TestDirectAdjust:
     def test_conservative_on_the_adaptive_fixture(self):
         # the same two-column matrix that the adaptive procedures reject on
         mat = af.validate_matrix([[0.03, 0.2], [0.04, 0.9]])
-        res = af.direct_adjust(mat, 2, spec("bonferroni", "bonferroni"))
+        res = af.direct_adjust(mat, 2, direct("bonferroni", "bonferroni"))
         np.testing.assert_allclose(
             res.adjusted, [0.08, 1.0]
         )  # PC p-values (0.04, 0.9) times M_t = 2
@@ -100,18 +97,18 @@ class TestDirectAdjust:
     def test_all_ones_reject_nothing(self):
         mat = af.validate_matrix([[1.0, 1.0], [1.0, 1.0]])
         for adjustment in ("bonferroni", "bh"):
-            res = af.direct_adjust(mat, 2, spec("simes", adjustment))
+            res = af.direct_adjust(mat, 2, direct("simes", adjustment))
             assert res.n_rejected == 0
 
     def test_single_hypothesis_bh(self):
         mat = af.validate_matrix([[0.01], [0.04]])  # Bonferroni PC p = 0.04
-        res = af.direct_adjust(mat, 2, spec("bonferroni", "bh"))
+        res = af.direct_adjust(mat, 2, direct("bonferroni", "bh"))
         assert res.rejected.tolist() == [True]
         assert res.gamma0 == 0.04
 
     def test_untestable_columns_excluded(self):
         mat = af.validate_matrix([[0.001, 0.5], [0.001, NAN]])
-        res = af.direct_adjust(mat, 2, spec("fisher", "bonferroni"))
+        res = af.direct_adjust(mat, 2, direct("fisher", "bonferroni"))
         assert res.untestable.tolist() == [False, True]
         assert not res.rejected[1]
         assert math.isnan(res.adjusted[1])
@@ -122,19 +119,40 @@ class TestDirectAdjust:
         mat = af.validate_matrix([[0.1], [0.2]])
         for r in (1, 3):
             with pytest.raises(ReplicabilityLevelOutOfRange):
-                af.direct_adjust(mat, r, spec("simes", "bh"))
+                af.direct_adjust(mat, r, direct("simes", "bh"))
 
     def test_no_testable_columns(self):
         # when no column reaches r observed entries, the level check fires
         mat = af.validate_matrix([[0.1, 0.4], [NAN, NAN], [NAN, NAN]])
         with pytest.raises(ReplicabilityLevelOutOfRange):
-            af.direct_adjust(mat, 2, spec("simes", "bh"))
+            af.direct_adjust(mat, 2, direct("simes", "bh"))
 
     def test_alpha_validation(self):
         with pytest.raises(ValidationError):
-            spec("simes", "bh", alpha=0.0)
+            direct("simes", "bh", alpha=0.0)
         with pytest.raises(ValidationError):
-            spec("simes", "bh", alpha=1.2)
+            direct("simes", "bh", alpha=1.2)
+
+    def test_adaptive_procedure_is_refused(self):
+        mat = af.validate_matrix([[0.01, 0.2], [0.02, 0.9]])
+        for kind in (af.ProcedureKind.ADAFILTER_BONFERRONI, af.ProcedureKind.ADAFILTER_BH):
+            for compute_adjusted in (False, True):
+                with pytest.raises(ValidationError, match=kind.value):
+                    af.direct_adjust(mat, 2, af.Procedure(kind, 0.05), compute_adjusted)
+
+    def test_benchmark_constructor_builds_the_direct_procedure(self):
+        # the benchmark's (combiner, adjustment, alpha) spelling is a Procedure
+        kinds = {
+            af.AdjustmentKind.BONFERRONI: af.ProcedureKind.DIRECT_BONFERRONI,
+            af.AdjustmentKind.BH: af.ProcedureKind.DIRECT_BH,
+        }
+        assert set(kinds) == set(af.AdjustmentKind)
+        for combiner in af.PCCombinerKind:
+            for adjustment, kind in kinds.items():
+                got = af.DirectProcedureSpec(combiner, adjustment, 0.1)
+                assert got == af.Procedure(kind, 0.1, combiner)
+        with pytest.raises(ValidationError):
+            af.DirectProcedureSpec(af.PCCombinerKind.SIMES, af.AdjustmentKind.BH, 0.0)
 
     def test_bonferroni_subset_of_bh(self):
         rng = np.random.default_rng(13)
@@ -147,8 +165,8 @@ class TestDirectAdjust:
             done += 1
             alpha = helpers.random_alpha(rng)
             for combiner in ("simes", "fisher", "bonferroni"):
-                bon = af.direct_adjust(mat, r, spec(combiner, "bonferroni", alpha))
-                bh = af.direct_adjust(mat, r, spec(combiner, "bh", alpha))
+                bon = af.direct_adjust(mat, r, direct(combiner, "bonferroni", alpha))
+                bh = af.direct_adjust(mat, r, direct(combiner, "bh", alpha))
                 assert np.all(bh.rejected[bon.rejected])
 
     def test_bh_count_nondecreasing_in_alpha(self):
@@ -162,8 +180,8 @@ class TestDirectAdjust:
             done += 1
             lo = float(rng.uniform(0.01, 0.5))
             hi = float(rng.uniform(lo, 1.0))
-            small = af.direct_adjust(mat, r, spec("simes", "bh", lo))
-            large = af.direct_adjust(mat, r, spec("simes", "bh", hi))
+            small = af.direct_adjust(mat, r, direct("simes", "bh", lo))
+            large = af.direct_adjust(mat, r, direct("simes", "bh", hi))
             assert small.n_rejected <= large.n_rejected
 
     def test_bh_adjusted_reproduces_decisions(self):
@@ -176,7 +194,7 @@ class TestDirectAdjust:
             mat, r = inst
             done += 1
             alpha = helpers.random_alpha(rng)
-            res = af.direct_adjust(mat, r, spec("fisher", "bh", alpha))
+            res = af.direct_adjust(mat, r, direct("fisher", "bh", alpha))
             testable = ~res.untestable
             adj = res.adjusted[testable]
             # standard identity: reject exactly the adjusted values <= alpha
@@ -187,7 +205,7 @@ class TestDirectAdjust:
         # PC p-values; both must equal bh_stepup's and the reference's
 
         def check(mat, r, combiner, alpha):
-            res = af.direct_adjust(mat, r, spec(combiner, "bh", alpha))
+            res = af.direct_adjust(mat, r, direct(combiner, "bh", alpha))
             testable = ~res.untestable
             pc = mat.pc_pvalues(r, af.PCCombinerKind(combiner))[testable]
             mask, cutoff = bh_stepup(pc, alpha)
@@ -233,9 +251,9 @@ class TestDirectAdjust:
             for alpha in (helpers.random_alpha(rng), 1.0):
                 for combiner in ("simes", "fisher", "bonferroni"):
                     for adjustment in ("bonferroni", "bh"):
-                        sp = spec(combiner, adjustment, alpha)
-                        lean = af.direct_adjust(mat, r, sp, compute_adjusted=False)
-                        full = af.direct_adjust(mat, r, sp)
+                        proc = direct(combiner, adjustment, alpha)
+                        lean = af.direct_adjust(mat, r, proc, compute_adjusted=False)
+                        full = af.direct_adjust(mat, r, proc)
                         assert lean.adjusted is None
                         assert full.adjusted.shape == (mat.n_hypotheses,)
                         assert helpers.results_equal(lean, full)
@@ -254,7 +272,7 @@ class TestDirectAdjust:
             mask, want = naive_bh(pcs, alpha)
             assert (want, sum(mask)) == (cutoff, rejections)
             for compute_adjusted in (False, True):
-                res = af.direct_adjust(mat, 2, spec("bonferroni", "bh", alpha), compute_adjusted)
+                res = af.direct_adjust(mat, 2, direct("bonferroni", "bh", alpha), compute_adjusted)
                 assert res.gamma0 == cutoff
                 assert res.rejected.tolist() == mask + [False]
 
@@ -297,8 +315,7 @@ class TestRunProcedure:
                 elif proc.kind is af.ProcedureKind.ADAFILTER_BH:
                     want = af.adafilter_bh(stats, alpha)
                 else:
-                    adjustment = proc.kind.value.removeprefix("direct-")
-                    want = af.direct_adjust(mat, r, spec(proc.combiner.value, adjustment, alpha))
+                    want = af.direct_adjust(mat, r, proc)
                 assert got.method is proc.kind is want.method
                 assert helpers.results_equal(got, want)
 

@@ -83,6 +83,19 @@ class TestIngestCsv:
             ingest_csv(write(tmp_path, "m.csv", text))
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_errors_name_the_line_a_record_starts_on(self, tmp_path, end):
+        # a quoted cell holding a line break makes one record of two lines
+        path = tmp_path / "m.csv"
+        text = 'id,s1,s2\ng1,"0.5\n",0.2\ng2,abc,0.3\n'
+        path.write_bytes(text.replace("\n", end).encode())
+        with pytest.raises(ParseError, match="^line 4: bad p-value token 'abc'"):
+            ingest_csv(str(path))
+        text = 'id,"s1\nx",s2\ng1,0.1,0.2\ng1,0.3,0.4\n'
+        path.write_bytes(text.replace("\n", end).encode())
+        with pytest.raises(DuplicateIdentifier, match="^line 4: duplicate hypothesis id 'g1'"):
+            ingest_csv(str(path))
+
     def test_nan_token_is_not_the_missing_token(self, tmp_path):
         for token in ("nan", "NaN"):
             text = f"id,s1,s2\ng1,0.1,0.2\ng2,0.3,{token}\n"
@@ -524,6 +537,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: line 3: field larger than field limit (131072)"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(("rows", "shown"), [
+        ('"a\tb",0.01,0.02\n"c\nd",0.5,0.4\ne,0.3,0.9\n', r"'a\tb'"),
+        ('g\t1,0.01,0.02\ne,0.3,0.9\n', r"'g\t1'"),
+        ('"c\nd",0.5,0.4\ne,0.3,0.9\n', r"'c\nd'"),
+        ('"c\rd",0.5,0.4\ne,0.3,0.9\n', r"'c\rd'"),
+    ])
+    def test_id_with_tab_or_line_break_fails_cleanly(self, tmp_path, capsys, rows, shown):
+        # such an id would split its row of the tab-separated decisions table;
+        # the unquoted one reaches the per-cell reader through the bulk reader
+        path = write(tmp_path, "in.csv", "id,s1,s2\n" + rows)
+        out = tmp_path / "o.tsv"
+        flags = ["--output", str(out), "--method", "adafilter-bh", "--r", "2"]
+        assert main(["test", "--input", path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: line 2: hypothesis id {shown} holds a tab or line break"]
+        assert not out.exists()
+        assert read_outcome(ingest_csv, path) == read_outcome(_ingest_per_cell, path)
 
     def test_scipy_loaded_only_by_the_lab(self):
         # test and curve call no scipy function, so the CLI starts without it;

@@ -259,8 +259,8 @@ class TestChiSquareSf:
         for j in range(3):
             want = reference_pc(mat.values[:, j].tolist(), 2, af.PCCombinerKind.FISHER)
             assert got[j] == pytest.approx(want, rel=1e-9)
-        spec = af.DirectProcedureSpec(af.PCCombinerKind.FISHER, af.AdjustmentKind.BH, 0.05)
-        assert af.direct_adjust(mat, 2, spec).rejected.all()
+        proc = af.Procedure(af.ProcedureKind.DIRECT_BH, 0.05, af.PCCombinerKind.FISHER)
+        assert af.direct_adjust(mat, 2, proc).rejected.all()
 
     def test_vectorized_matches_scalar(self):
         # one call over the whole array, checked entry by entry against mpmath
