@@ -21,6 +21,7 @@ from .procedures import (
     ProcedureKind,
     _check_alpha,
     _decision,
+    _smallest_level,
     adafilter_bh,
     adafilter_bonferroni,
     compute_filter_select,
@@ -93,10 +94,10 @@ def direct_adjust(
     combiner (an adaptive proc, which has none, raises ValidationError);
     untestable columns are excluded from the correction and never rejected.
     gamma0 reports the PC p-value cutoff in use. With compute_adjusted (the
-    default, which the benchmark's decision check reads), adjusted holds
-    standard adjusted p-values (min(1, M_t * P) for Bonferroni, the monotone
-    step-up adjustment for BH); without it adjusted is None and the decision
-    costs one pass plus, for BH, a sort of the P <= alpha.
+    default, which the benchmark's decision check reads), adjusted holds the
+    smallest rejecting alpha for Bonferroni (1 if none up to 1, 0 where P = 0),
+    the step-up adjustment for BH, NaN where untestable; without it adjusted is
+    None and the decision costs one pass plus, for BH, a sort of the P <= alpha.
     """
     if proc.combiner is None:
         raise ValidationError(f"direct_adjust runs a direct procedure, not {proc.kind.value}")
@@ -111,7 +112,7 @@ def direct_adjust(
     if proc.kind is ProcedureKind.DIRECT_BONFERRONI:
         cutoff = alpha / m_t
         if compute_adjusted:
-            adjusted = np.minimum(1.0, pc * m_t)
+            adjusted = np.minimum(_smallest_level(pc, m_t), 1.0)
     else:
         cutoff = _bh_cutoff(pc, alpha, m_t)
         if compute_adjusted:

@@ -17,24 +17,30 @@ class ValidationError(AdaFilterError, ValueError):
 
 
 class OutOfRangeEntry(ValidationError):
-    """A p-value entry is outside [0, 1] (NaN is allowed and means missing)."""
+    """A p-value entry is outside [0, 1] (NaN is allowed and means missing). Given a
+    CSV file's line, the message names it and file column column + 1 (the id is 1)."""
 
-    def __init__(self, row: int, column: int, value: float):
+    def __init__(self, row: int, column: int, value: float, line: int | None = None):
         self.row = row
         self.column = column
         self.value = value
-        super().__init__(
-            f"p-value at row {row}, column {column} is {value!r}; "
-            f"entries must lie in [0, 1] or be NaN for missing"
-        )
+        self.line = line
+        if line is None:
+            message = f"p-value at row {row}, column {column} is {value!r}; "
+            message += "entries must lie in [0, 1] or be NaN for missing"
+        else:
+            message = f"line {line}: p-value {value!r} in column {column + 1} is outside [0, 1]"
+        super().__init__(message)
 
 
 class EmptyColumn(ValidationError):
     """A hypothesis column contains no observed p-values at all."""
 
-    def __init__(self, column: int):
+    def __init__(self, column: int, identifier: str | None = None):
         self.column = column
-        super().__init__(f"column {column} has no observed p-values")
+        self.identifier = identifier
+        where = "" if identifier is None else f" (hypothesis id {identifier!r})"
+        super().__init__(f"column {column} has no observed p-values{where}")
 
 
 class DimensionMismatch(ValidationError):

@@ -139,7 +139,8 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
     for row in arr[1:]:
         empty &= np.isnan(row)
     if empty.any():
-        raise EmptyColumn(int(np.flatnonzero(empty)[0]) + 1)
+        j = int(np.flatnonzero(empty)[0])
+        raise EmptyColumn(j + 1, None if id_tuple is None else id_tuple[j])
 
     arr.setflags(write=False)
     return PValueMatrix(values=arr, ids=id_tuple)

@@ -273,9 +273,9 @@ def _bonferroni_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
     return out
 
 
-def _smallest_level(s: NDArray[np.float64], k: NDArray[np.int64]) -> NDArray[np.float64]:
-    """Smallest float a with fl(a/k) >= s, elementwise: the float above fl(s*k)
-    qualifies, and the search steps down while the next float down does too."""
+def _smallest_level(s: NDArray[np.float64], k: NDArray[np.int64] | int) -> NDArray[np.float64]:
+    """Smallest float a with fl(a/k) >= s, elementwise, NaN where s is: the float
+    above fl(s*k) qualifies, and the search steps down while the next one does too."""
     a = np.nextafter(s * k, np.inf)
     while True:
         down = np.nextafter(a, 0.0)
@@ -299,11 +299,9 @@ def _farey_left(f: Fraction, max_den: int) -> Fraction:
     """Largest fraction strictly below f with denominator <= max_den.
 
     f must be positive and reduced with denominator <= max_den. Uses the
-    Farey-neighbor identity a*y - b*x = 1 solved by a modular inverse.
+    Farey-neighbor identity a*y - b*x = 1 solved by a modular inverse (0 at b = 1).
     """
     a, b = f.numerator, f.denominator
-    if b == 1:
-        return Fraction(a * max_den - 1, max_den)
     y0 = pow(a, -1, b)
     y = y0 + ((max_den - y0) // b) * b
     x = (a * y - 1) // b

@@ -40,6 +40,9 @@ __all__ = [
 
 _MISSING_TOKEN = "NA"
 _CHUNK_CHARS = 1 << 20  # characters of whole lines per bulk read
+# a tab, or a line break of str.splitlines, would split an id's row of the decisions
+# table; the last three are not ASCII
+_ID_BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def ingest_csv(path: str) -> PValueMatrix:
@@ -65,6 +68,7 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
     - no NUL or tab character, no line longer than the csv field limit, and no
       quote except pairs that wrap a whole header or id cell (R's write.csv
       layout), so every line splits on its commas as csv.reader splits it;
+    - no id holds a character of _ID_BREAKS, which the per-cell reader refuses;
     - every row has as many cells as the header;
     - there is one NaN per NA cell and no other, so a literal nan never
       passes as missing;
@@ -93,7 +97,7 @@ def _ingest_bulk(path: str) -> PValueMatrix | None:
                 chunk_ids = [line.partition(",")[0] for line in lines if line != "\n"]
                 if '"' in text:
                     chunk_ids = _unquoted(chunk_ids, text.count('"'))
-                if not plain(text, lines) or chunk_ids is None:
+                if not plain(text, lines) or chunk_ids is None or _holds_break("".join(chunk_ids)):
                     return None
                 ids += chunk_ids
                 # a cell that starts with NA parses only if the rest is whitespace,
@@ -153,7 +157,7 @@ def _ingest_per_cell(path: str) -> PValueMatrix:
                         f"expected {n_studies + 1} cells, got {len(record)}", lineno
                     )
                 ident = record[0]
-                if any(c in ident for c in "\t\r\n"):
+                if _holds_break(ident):
                     raise ParseError(f"hypothesis id {ident!r} holds a tab or line break", lineno)
                 if ident in ids:
                     raise DuplicateIdentifier(ident, lineno)
@@ -165,6 +169,11 @@ def _ingest_per_cell(path: str) -> PValueMatrix:
         raise ParseError("no data rows found")
     # file rows are hypotheses; the internal layout is studies x hypotheses
     return validate_matrix(np.array(rows, dtype=np.float64).T, ids=ids)
+
+
+def _holds_break(text: str) -> bool:
+    """Whether text holds a character of _ID_BREAKS; str.isascii() is O(1)."""
+    return any(c in text for c in (_ID_BREAKS[:-3] if text.isascii() else _ID_BREAKS))
 
 
 def _parse_cells(record: list[str], lineno: int, row: int) -> list[float]:
@@ -185,7 +194,7 @@ def _parse_cells(record: list[str], lineno: int, row: int) -> list[float]:
                 lineno,
             )
         if not (0.0 <= value <= 1.0):
-            raise OutOfRangeEntry(row, col, value)
+            raise OutOfRangeEntry(row, col, value, lineno)
         parsed.append(value)
     return parsed
 

@@ -7,6 +7,8 @@ boundaries.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import adafilter as af
@@ -177,6 +179,36 @@ def adafilter_bonferroni_adjusted_oracle(stats: af.FilterSelectStats):
                 out[j] = a
                 break
     return out
+
+
+def check_exact_levels(decide, adjusted, stat, testable) -> int:
+    """Check each adjusted value v against the procedure that reported it.
+
+    decide(alpha) is the rejection mask at level alpha. For every j:
+    - v in (0, 1): decide(v) rejects j and decide(nextafter(v, 0)) keeps it;
+    - v = 1: decide(nextafter(1, 0)) keeps j;
+    - v = 0 exactly where j is testable and its statistic is 0;
+    - v = NaN exactly where j is untestable.
+    Returns how many values in (0, 1) were checked.
+    """
+    assert np.array_equal(np.isnan(adjusted), ~testable)
+    assert np.array_equal(adjusted == 0.0, testable & (stat == 0.0))
+    assert np.all(np.isnan(adjusted) | ((adjusted >= 0.0) & (adjusted <= 1.0)))
+    masks = {}
+
+    def rejected(alpha: float, j: int) -> bool:
+        if alpha not in masks:
+            masks[alpha] = decide(alpha)
+        return bool(masks[alpha][j])
+
+    inner = 0
+    for j in np.flatnonzero(adjusted > 0.0):
+        v = float(adjusted[j])
+        if v < 1.0:
+            assert rejected(v, j), (j, v)
+            inner += 1
+        assert not rejected(math.nextafter(v, 0.0), j), (j, v)
+    return inner
 
 
 def read_outcome(read, path: str):

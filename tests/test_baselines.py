@@ -94,6 +94,30 @@ class TestDirectAdjust:
         assert res.gamma0 == 0.025
         assert res.n_rejected == 0
 
+    def test_bonferroni_adjusted_values_are_exact_levels(self):
+        # direct Bonferroni rejects P <= fl(alpha/M_t), so each reported value
+        # in (0, 1) rejects and the float below it does not; M_t * P misses
+        # that level by an ulp on about one value in ten
+        rng = np.random.default_rng(5)
+        checked = done = 0
+        while done < 400:
+            inst = helpers.random_matrix(rng, max_m=40, max_n=6)
+            if inst is None:
+                continue
+            done += 1
+            mat = inst[0]
+            for combiner in af.PCCombinerKind:
+                res = af.direct_adjust(mat, 2, direct(combiner.value, "bonferroni"))
+
+                def decide(alpha):
+                    proc = direct(combiner.value, "bonferroni", alpha)
+                    return af.direct_adjust(mat, 2, proc, compute_adjusted=False).rejected
+
+                checked += helpers.check_exact_levels(
+                    decide, res.adjusted, mat.pc_pvalues(2, combiner), ~res.untestable
+                )
+        assert checked >= 2000
+
     def test_all_ones_reject_nothing(self):
         mat = af.validate_matrix([[1.0, 1.0], [1.0, 1.0]])
         for adjustment in ("bonferroni", "bh"):

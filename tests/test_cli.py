@@ -69,6 +69,22 @@ class TestIngestCsv:
             ingest_csv(write(tmp_path, "m.csv", "id,s1\ng1,0.5\ng2,1.5\n"))
         assert (exc.value.row, exc.value.column) == (2, 1)
 
+    @pytest.mark.parametrize("read", [ingest_csv, _ingest_per_cell])
+    def test_out_of_range_cell_names_its_line_and_file_column(self, tmp_path, read):
+        # blank lines make the file line differ from the data row, and the id
+        # makes the file column differ from the study
+        path = write(tmp_path, "m.csv", "id,s1,s2\n\ng1,0.5,0.2\n\ng2,0.3,1.5\n")
+        with pytest.raises(OutOfRangeEntry, match=r"^line 5: p-value 1\.5 in column 3 ") as exc:
+            read(path)
+        assert (exc.value.line, exc.value.row, exc.value.column) == (5, 2, 2)
+
+    @pytest.mark.parametrize("read", [ingest_csv, _ingest_per_cell])
+    def test_all_na_row_names_its_id(self, tmp_path, read):
+        path = write(tmp_path, "m.csv", "id,s1,s2\ng1,0.5,0.2\n\ng2,NA,NA\n")
+        with pytest.raises(EmptyColumn, match="^column 2 has .* id 'g2'") as exc:
+            read(path)
+        assert (exc.value.column, exc.value.identifier) == (2, "g2")
+
     def test_unparseable_cell(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
             ingest_csv(write(tmp_path, "m.csv", "id,s1\ng1,abc\n"))
@@ -543,10 +559,13 @@ class TestMainEntry:
         ('g\t1,0.01,0.02\ne,0.3,0.9\n', r"'g\t1'"),
         ('"c\nd",0.5,0.4\ne,0.3,0.9\n', r"'c\nd'"),
         ('"c\rd",0.5,0.4\ne,0.3,0.9\n', r"'c\rd'"),
+        *((f"e{c}f,0.5,0.4\ng,0.3,0.9\n", repr(f"e{c}f")) for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+        ('"a\x85b",0.01,0.02\ne\x0bf,0.3,0.9\n', repr("a\x85b")),
     ])
     def test_id_with_tab_or_line_break_fails_cleanly(self, tmp_path, capsys, rows, shown):
-        # such an id would split its row of the tab-separated decisions table;
-        # the unquoted one reaches the per-cell reader through the bulk reader
+        # such an id would split its row of the tab-separated decisions table,
+        # as would one holding any other line break of str.splitlines; the
+        # unquoted ones reach the per-cell reader through the bulk reader
         path = write(tmp_path, "in.csv", "id,s1,s2\n" + rows)
         out = tmp_path / "o.tsv"
         flags = ["--output", str(out), "--method", "adafilter-bh", "--r", "2"]
@@ -555,6 +574,18 @@ class TestMainEntry:
         assert err.splitlines() == [f"error: line 2: hypothesis id {shown} holds a tab or line break"]
         assert not out.exists()
         assert read_outcome(ingest_csv, path) == read_outcome(_ingest_per_cell, path)
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ("id,s1,s2\n\ng1,0.5,0.2\n\ng2,0.3,1.5\n", "line 5: p-value 1.5 in column 3 is outside [0, 1]"),
+        ("id,s1,s2\ng1,0.5,0.2\n\ng2,NA,NA\n", "column 2 has no observed p-values (hypothesis id 'g2')"),
+    ])
+    def test_out_of_range_cell_and_all_na_row_fail_cleanly(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, "in.csv", text)
+        out = tmp_path / "o.tsv"
+        flags = ["--output", str(out), "--method", "adafilter-bh", "--r", "2"]
+        assert main(["test", "--input", path, *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_scipy_loaded_only_by_the_lab(self):
         # test and curve call no scipy function, so the CLI starts without it;

@@ -51,6 +51,8 @@ class TestValidateMatrix:
         with pytest.raises(OutOfRangeEntry) as exc:
             af.validate_matrix([[1.2], [0.5]])
         assert (exc.value.row, exc.value.column, exc.value.value) == (1, 1, 1.2)
+        assert exc.value.line is None
+        assert str(exc.value).startswith("p-value at row 1, column 1 is 1.2; ")
 
     def test_rejects_negative_entry(self):
         with pytest.raises(OutOfRangeEntry) as exc:
@@ -60,7 +62,10 @@ class TestValidateMatrix:
     def test_rejects_all_missing_column(self):
         with pytest.raises(EmptyColumn) as exc:
             af.validate_matrix([[0.1, NAN], [0.2, NAN]])
-        assert exc.value.column == 2
+        assert (exc.value.column, exc.value.identifier) == (2, None)
+        assert str(exc.value) == "column 2 has no observed p-values"
+        with pytest.raises(EmptyColumn, match=r"^column 2 has no observed p-values \(hypothesis id 'b'\)$"):
+            af.validate_matrix([[0.1, NAN], [0.2, NAN]], ids=["a", "b"])
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(DimensionMismatch):

@@ -184,6 +184,24 @@ class TestAdaptiveBonferroni:
             want = helpers.adafilter_bonferroni_adjusted_oracle(stats)
             np.testing.assert_array_equal(res.adjusted, want)
 
+    def test_adjusted_values_are_exact_levels(self):
+        # the oracle above pins the values on small inputs; this checks the
+        # defining pair (v rejects, the float below v keeps) on many more
+        rng = np.random.default_rng(5)
+        checked = done = 0
+        while done < 1000:
+            inst = helpers.random_matrix(rng, max_m=40, max_n=6)
+            if inst is None:
+                continue
+            done += 1
+            stats = af.compute_filter_select(inst[0], 2)
+            res = af.adafilter_bonferroni(stats, 0.05, compute_adjusted=True)
+            checked += helpers.check_exact_levels(
+                lambda alpha: af.adafilter_bonferroni(stats, alpha).rejected,
+                res.adjusted, stats.select_p, stats.testable,
+            )
+        assert checked >= 2000
+
     def test_adjusted_skips_an_infeasible_rounding_gap(self):
         # fl(a/3) cannot equal s for any float a: the smallest a with
         # fl(a/3) >= s gives the next float x, and the F planted at x makes
