@@ -325,12 +325,27 @@ def _grid_value_below(hi: float, alpha_fraction: Fraction, max_den: int) -> floa
     return float(q * alpha_fraction)
 
 
-def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
-    """Largest feasible grid value for the adaptive BH procedure.
+def _breakpoints(stats: FilterSelectStats, top: float) -> tuple:
+    """(b, cF, cS, M_t): the sorted unique {0} and F and S values up to top,
+    with #{F <= b} and #{S <= b} at each b; one table serves every alpha <= top."""
+    m_t = _testable_count(stats)
+    cf_top, cs_top = stats.counts(top)
+    inner = (stats.sorted_filter[:cf_top], stats.sorted_select[:cs_top])
+    b = np.unique(np.concatenate([[0.0], *inner]))
+    return (b, *stats.counts(b), m_t)
 
-    The breakpoints 0, alpha and the F and S values up to alpha cut [0, inf)
-    into intervals [lo, hi), the top one [alpha, inf). The counts cF and cS
-    are constant on each, so a grid value fl(k*alpha/m) in [lo, hi) is
+
+def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
+    """Largest feasible grid value for the adaptive BH procedure."""
+    return _bh_scan(_breakpoints(stats, alpha), alpha)
+
+
+def _bh_scan(table: tuple, alpha: float) -> float:
+    """Largest feasible grid value at alpha, from a _breakpoints table up to a top >= alpha.
+
+    The breakpoints b <= alpha cut [0, inf) into intervals [lo, hi), the top
+    one [b_last, inf), since no F or S lies in (b_last, alpha]. The counts cF
+    and cS are constant on each, so a grid value fl(k*alpha/m) in [lo, hi) is
     feasible exactly when k/m <= cS/cF. The scan goes from the top interval
     down and returns the first feasible value it meets, since every later
     interval lies below lo. With g = fl(alpha * min(1, cS/cF)):
@@ -342,15 +357,12 @@ def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
 
     The bottom interval starts at the always feasible 0, so the scan ends
     there at the latest. A screening pass skips intervals that cannot hold a
-    feasible value.
+    feasible value. Counts stay Python ints: k * num overflows int64.
     """
+    b, c_f, c_s, m_t = table
+    n = int(np.searchsorted(b, alpha, side="right"))
+    lower, c_f, c_s = b[:n], c_f[:n], c_s[:n]
     num, den = alpha.as_integer_ratio()
-    m_t = _testable_count(stats)
-    cf_alpha, cs_alpha = stats.counts(alpha)
-    inner = (stats.sorted_filter[:cf_alpha], stats.sorted_select[:cs_alpha])
-    lower = np.unique(np.concatenate([np.array([0.0, alpha]), *inner]))
-    upper = np.append(lower[1:], np.inf)
-    c_f, c_s = stats.counts(lower)
 
     # screening: an interval can contribute only if alpha*cS/cF reaches its
     # lower edge (within two-step rounding slack, hence the 1e-9 margin)
@@ -358,7 +370,7 @@ def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
     flagged = bound >= lower * (1.0 - 1e-9)
 
     for t in np.flatnonzero(flagged)[::-1]:
-        lo, hi = float(lower[t]), float(upper[t])
+        lo, hi = float(lower[t]), float(b[t + 1]) if t + 1 < n else math.inf
         cf_t, cs_t = int(c_f[t]), int(c_s[t])
         g = alpha if cs_t >= cf_t else _grid_float(cs_t, cf_t, num, den)
         if g >= hi:
@@ -380,8 +392,10 @@ def adafilter_bh(
     compute_adjusted fills per-hypothesis adjusted values: the smallest alpha
     at which the hypothesis would be rejected, located by bisection. Rejection
     is not monotone in alpha for this procedure, so the value is a boundary
-    point of the rejection region, not an exact infimum; it is also O(M log M)
-    per bisection step and intended for small inputs.
+    point of the rejection region, not an exact infimum. The F/S breakpoints
+    are sorted once (O(M log M)); each distinct bisection level then costs one
+    O(M) screen of the table, so the whole is O(M log M + L*M) for L levels,
+    up to 60 per hypothesis that alpha = 1 rejects.
     """
     alpha = _check_alpha(alpha)
     gamma0 = _bh_threshold(stats, alpha)
@@ -392,9 +406,15 @@ def adafilter_bh(
 
 
 def _bh_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
-    """1 where alpha = 1 does not reject, NaN where untestable, bisection elsewhere."""
+    """1 where alpha = 1 does not reject, NaN where untestable, bisection elsewhere.
+
+    Every step scans one breakpoint table built at alpha = 1, and each level is
+    scanned once: bisections share their top levels, and tied S whole paths.
+    """
+    table = _breakpoints(stats, 1.0)
+    thresholds: dict[float, float] = {}
     out = np.where(stats.testable, 1.0, np.nan)
-    rejected_at_one = stats.testable & (stats.select_p <= _bh_threshold(stats, 1.0))
+    rejected_at_one = stats.testable & (stats.select_p <= _bh_scan(table, 1.0))
     for j in np.flatnonzero(rejected_at_one):
         s_j = float(stats.select_p[j])
         lo, hi = 0.0, 1.0
@@ -402,7 +422,9 @@ def _bh_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
             mid = 0.5 * (lo + hi)
             if mid <= 0.0 or mid >= 1.0:
                 break
-            if s_j <= _bh_threshold(stats, mid):
+            if mid not in thresholds:
+                thresholds[mid] = _bh_scan(table, mid)
+            if s_j <= thresholds[mid]:
                 hi = mid
             else:
                 lo = mid

@@ -81,12 +81,12 @@ def adafilter_bh_oracle(stats: af.FilterSelectStats, alpha: float) -> af.Decisio
     """Literal grid search over every k*alpha/m with 0 <= k <= m <= M_t.
 
     Ground truth for adafilter_bh, quadratic in M_t, so it is kept to
-    M_t <= 200. Every pair is materialized and checked with the same exact
-    arithmetic as the fast search.
+    M_t <= 1,200 (about 1 s there). Every pair is materialized and checked
+    with the same exact arithmetic as the fast search.
     """
     alpha = float(alpha)
     m_t = stats.n_testable
-    assert 1 <= m_t <= 200, m_t
+    assert 1 <= m_t <= 1200, m_t
     num, den = alpha.as_integer_ratio()
 
     pairs = [(k, m) for m in range(1, m_t + 1) for k in range(1, m + 1)]
@@ -103,6 +103,38 @@ def adafilter_bh_oracle(stats: af.FilterSelectStats, alpha: float) -> af.Decisio
         rejected=stats.testable & (stats.select_p <= gamma0),
         untestable=~stats.testable,
     )
+
+
+def adafilter_bh_adjusted_oracle(stats: af.FilterSelectStats) -> np.ndarray:
+    """adafilter_bh's adjusted values by the literal bisection on alpha.
+
+    NaN where untestable, 1 where alpha = 1 does not reject, and elsewhere
+    the upper end after 60 halvings of [0, 1], each deciding by a full
+    adafilter_bh run at the midpoint. The run at each level is kept, since
+    it depends on the level alone.
+    """
+    rejected_at = {}
+
+    def rejected(alpha: float, j: int) -> bool:
+        if alpha not in rejected_at:
+            rejected_at[alpha] = af.adafilter_bh(stats, alpha).rejected
+        return bool(rejected_at[alpha][j])
+
+    out = np.where(stats.testable, 1.0, np.nan)
+    for j in np.flatnonzero(stats.testable):
+        if not rejected(1.0, j):
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if mid <= 0.0 or mid >= 1.0:
+                break
+            if rejected(mid, j):
+                hi = mid
+            else:
+                lo = mid
+        out[j] = hi
+    return out
 
 
 def adafilter_bonferroni_twostep(stats: af.FilterSelectStats, alpha: float) -> af.DecisionResult:

@@ -323,24 +323,108 @@ class TestAdaptiveBH:
                 if not full.rejected[j]:
                     assert adj == 1.0
 
-    def test_adjusted_searches_alpha_one_once(self, monkeypatch):
-        # one search at alpha, one at alpha = 1, then 60 bisection steps for
-        # each hypothesis alpha = 1 rejects; none for the others
+    def test_adjusted_scans_each_level_once(self, monkeypatch):
+        # the adjusted values scan one breakpoint table: alpha = 1 once, then
+        # each distinct bisection level once, at most 60 per hypothesis that
+        # alpha = 1 rejects; the decision at alpha scans its own table first
         rng = np.random.default_rng(41)
         stats = af.compute_filter_select(af.validate_matrix(rng.random((3, 60)) ** 3), 2)
         r_one = af.adafilter_bh(stats, 1.0).n_rejected
         assert 0 < r_one < stats.n_testable
         levels = []
-        real = procedures._bh_threshold
+        real = procedures._bh_scan
 
-        def counted(stats, alpha):
+        def counted(table, alpha):
             levels.append(alpha)
-            return real(stats, alpha)
+            return real(table, alpha)
 
-        monkeypatch.setattr(procedures, "_bh_threshold", counted)
+        monkeypatch.setattr(procedures, "_bh_scan", counted)
         af.adafilter_bh(stats, 0.1, compute_adjusted=True)
-        assert len(levels) == 2 + 60 * r_one
-        assert levels.count(1.0) == 1
+        decision, adjusted = levels[0], levels[1:]
+        assert decision == 0.1
+        assert adjusted.count(1.0) == 1
+        assert len(set(adjusted)) == len(adjusted)
+        assert len(adjusted) <= 1 + 60 * r_one
+
+        # hypotheses that alpha = 1 keeps cost no scan: with one kept
+        # hypothesis more, the same levels are scanned
+        kept = af.FilterSelectStats(
+            np.append(stats.filter_p, 2.0), np.append(stats.select_p, 2.0),
+            np.append(stats.testable, True),
+        )
+        assert af.adafilter_bh(kept, 1.0).n_rejected == r_one
+        levels.clear()
+        procedures._bh_adjusted(kept)
+        assert levels == adjusted
+
+    def test_adjusted_values_match_the_bisection_oracle(self):
+        rng = np.random.default_rng(53)
+        done = ties = 0
+        while done < 300:
+            inst = helpers.random_matrix(rng, max_m=20, max_n=5)
+            if inst is None:
+                continue
+            mat, r = inst
+            if done % 3 == 0:
+                # three-decimal ties among the S values and between F and S
+                mat = af.PValueMatrix(values=np.round(mat.values, 3))
+                ties += 1
+            stats = af.compute_filter_select(mat, r)
+            done += 1
+            res = af.adafilter_bh(stats, helpers.random_alpha(rng), compute_adjusted=True)
+            want = helpers.adafilter_bh_adjusted_oracle(stats)
+            assert res.adjusted.tobytes() == want.tobytes(), (mat.values, r)
+        assert ties == 100
+
+    def test_adjusted_values_match_the_bisection_oracle_at_m_2000(self):
+        # half the studies rounded to 2 or 3 decimals, so many S values tie
+        rng = np.random.default_rng(59)
+        p = rng.random((4, 2000))
+        p[:, :400] *= 0.01
+        p[0] = np.round(p[0], 3)
+        p[1] = np.round(p[1], 2)
+        stats = af.compute_filter_select(af.validate_matrix(p), 2)
+        res = af.adafilter_bh(stats, 0.1, compute_adjusted=True)
+        want = helpers.adafilter_bh_adjusted_oracle(stats)
+        assert (want < 1.0).sum() >= 300
+        assert res.adjusted.tobytes() == want.tobytes()
+
+    def test_shared_table_scan_matches_threshold_and_oracle(self):
+        # one table built at alpha = 1 answers every alpha <= 1 as a table
+        # built at alpha itself does: at a breakpoint, one ulp below it, below
+        # the smallest positive breakpoint, and at 1
+        rng = np.random.default_rng(61)
+        done = 0
+        while done < 200:
+            stats = helpers.random_stats(rng, max_m=40, max_n=5)
+            if stats is None:
+                continue
+            done += 1
+            table = procedures._breakpoints(stats, 1.0)
+            points = table[0][(table[0] > 0.0) & (table[0] <= 1.0)]
+            alphas = [1.0]
+            if points.size:
+                b = float(rng.choice(points))
+                alphas += [b, math.nextafter(b, 0.0), float(points[0]) / 2]
+            for alpha in alphas:
+                got = procedures._bh_scan(table, alpha)
+                assert got == procedures._bh_threshold(stats, alpha), (stats.filter_p, alpha)
+                assert got == helpers.adafilter_bh_oracle(stats, alpha).gamma0, (stats.filter_p, alpha)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shared_table_scan_keeps_large_counts_exact(self):
+        # at M_t = 1,200 and alpha = 0.1, k * num and m * den overflow int64
+        # (alpha's denominator is 2**55), so counts read from the table must
+        # become Python ints before the grid value is formed
+        rng = np.random.default_rng(7)
+        p = rng.random((2, 1200))
+        p[:, :600] *= 0.05
+        stats = af.compute_filter_select(af.validate_matrix(p), 2)
+        table = procedures._breakpoints(stats, 1.0)
+        want = helpers.adafilter_bh_oracle(stats, 0.1).gamma0
+        assert 0.0 < want < 0.1
+        assert procedures._bh_scan(table, 0.1) == want
+        assert procedures._bh_threshold(stats, 0.1) == want
 
     def test_single_hypothesis_adjusted_is_its_pvalue(self):
         stats = stats_from_fs([0.37], [0.37])
