@@ -301,6 +301,71 @@ class TestDirectAdjust:
                 assert res.rejected.tolist() == mask + [False]
 
 
+class TestDirectBhAdjustedValues:
+    """direct_adjust orders only the P below the BH ladder's top plateau; every
+    value must be the bits of helpers.bh_adjusted_pvalues, a full argsort."""
+
+    @staticmethod
+    def check(mat, r, combiner="bonferroni"):
+        """Compare with the oracle; return (M_t, hypotheses below the plateau)."""
+        res = af.direct_adjust(mat, r, direct(combiner, "bh"))
+        testable = ~res.untestable
+        pc = mat.pc_pvalues(r, af.PCCombinerKind(combiner))[testable]
+        want = helpers.bh_adjusted_pvalues(pc)
+        assert res.adjusted[testable].tobytes() == want.tobytes()
+        assert np.isnan(res.adjusted[res.untestable]).all()
+        # the ladder is nondecreasing, so its top plateau holds the largest value
+        return int(testable.sum()), int(np.count_nonzero(want < want.max()))
+
+    def test_random_matrices_match_the_oracle(self):
+        rng = np.random.default_rng(59)
+        done = below = total = 0
+        while done < 2100:
+            inst = helpers.random_matrix(rng, max_m=(5, 60, 400)[done % 3])
+            if inst is None:
+                continue
+            mat, r = inst
+            done += 1
+            for combiner in af.PCCombinerKind:
+                m_t, k0 = self.check(mat, r, combiner.value)
+                below, total = below + k0, total + m_t
+        # both the ordered part and the plateau hold many hypotheses
+        assert 0 < below < total
+
+    @pytest.mark.parametrize(
+        ("pcs", "k0"),
+        [
+            ([0.3, 0.3, 0.3], 0),  # one tie block: all testable on the plateau
+            ([0.5, 0.9, 1.0], 0),  # every m*P_(i)/i at or above the top P = 1
+            ([0.0, 0.0], 0),  # a P = 0 block is the plateau
+            ([0.01, 0.02, 0.9], 2),  # a plateau of one hypothesis
+            ([0.01, 0.01, 0.5, 0.6], 2),  # a tie block ends at k0
+            ([0.01, 0.5, 0.5], 1),  # a tie block is the plateau
+            ([0.0, 0.0, 0.02, 1.0, 1.0], 3),  # blocks at P = 0 and P = 1
+            ([0.4], 0),  # M_t = 1
+        ],
+    )
+    def test_planted_plateaus(self, pcs, k0):
+        # at r = n = 2 the Bonferroni PC p-value of a column (p, p) is p; a
+        # column (p, NaN) is untestable, one after each testable column
+        rows = [[x for p in pcs for x in (p, 0.001)], [x for p in pcs for x in (p, NAN)]]
+        # and reversed, so that the untestable columns come first
+        for values in (rows, [row[::-1] for row in rows]):
+            assert self.check(af.validate_matrix(values), 2) == (len(pcs), k0)
+
+    def test_sparse_signal_orders_few_hypotheses(self):
+        # the regime the split is for: the plateau holds all but about 2%
+        rng = np.random.default_rng(7)
+        m = 200_000
+        values = rng.random((8, m))
+        values[:, rng.random(m) < 0.02] *= 1e-3
+        values[rng.random((8, m)) < 0.05] = NAN
+        mat = af.validate_matrix(values)
+        for combiner in af.PCCombinerKind:
+            m_t, k0 = self.check(mat, 4, combiner.value)
+            assert 0 < k0 < 0.1 * m_t, (combiner, k0, m_t)
+
+
 class TestBhAdjustedPvalues:
     def test_heavily_tied_input_matches_definition(self):
         # min over k >= i of m * P_(k) / k; positions with P_(k) >= P_j are

@@ -445,6 +445,16 @@ class TestMemoryBound:
             peak = self.arrays(_pc_pvalues_from_sorted, mat.sorted_values, mat.n_per_hyp, 4, kind)
             assert peak <= bounds[kind], (kind, peak)
 
+    def test_direct_bh_adjusted_values_hold_two_arrays(self, values):
+        # with the PC p-values memoised, the sorted buffer that becomes the
+        # result and the ladder; a full argsort beside them held 4.13
+        mat = validate_matrix(values)
+        for kind in COMBINERS:
+            mat.pc_pvalues(4, kind)
+            proc = af.Procedure(af.ProcedureKind.DIRECT_BH, 0.05, kind)
+            peak = self.arrays(af.direct_adjust, mat, 4, proc)
+            assert peak <= 3.0, (kind, peak)
+
     def test_validation_holds_little_beside_its_copy(self, values):
         # the copy it keeps is 8 arrays
         assert self.arrays(validate_matrix, values) <= 9.0
