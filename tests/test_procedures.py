@@ -1,5 +1,6 @@
 """Adaptive filtering procedures: thresholds, decisions, and the exact grid search."""
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -268,6 +269,23 @@ class TestTwoStepForm:
             assert helpers.results_equal(a, b), (stats.filter_p, alpha)
 
 
+def _bisection_levels(stats, monkeypatch) -> list:
+    """The levels _bh_adjusted scans, in order."""
+    levels = []
+    real = procedures._bh_scan
+    monkeypatch.setattr(procedures, "_bh_scan", lambda table, alpha: levels.append(alpha) or real(table, alpha))
+    procedures._bh_adjusted(stats)
+    monkeypatch.undo()
+    return levels
+
+
+def _lookup_answers(table, alpha) -> bool:
+    """Whether the highest flagged interval of an indexed table holds a feasible value at alpha."""
+    keys, highest = table[5]
+    t = highest[bisect.bisect_right(keys, alpha) - 1]
+    return procedures._interval_value(table, t, alpha) is not None
+
+
 class TestAdaptiveBH:
     def test_rejecting_fixture(self):
         res = af.adafilter_bh(stats_from(TOY_REJECTING), 0.05)
@@ -430,6 +448,111 @@ class TestAdaptiveBH:
         stats = stats_from_fs([0.37], [0.37])
         res = af.adafilter_bh(stats, 0.05, compute_adjusted=True)
         assert res.adjusted[0] == pytest.approx(0.37, abs=1e-12)
+
+    def test_screen_keys_flag_every_feasible_interval(self):
+        # _bh_scan checks only intervals whose key is <= alpha, so every
+        # interval in which the exact check finds a feasible value must be
+        # flagged: at round and tiny alphas, at sampled ratios fl(lo*cF/cS)
+        # and their neighbours, where feasibility flips, and with F and S
+        # scaled into the subnormal range, where the keys lose their margin
+        rng = np.random.default_rng(67)
+        base = [1.0, 0.05, 1e-12, 1e-300]
+
+        def check(stats, alphas):
+            table = procedures._breakpoints(stats, 1.0)
+            b, c_f, c_s, key = table[0], table[1], table[2], table[4]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = b * c_f / c_s
+            ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]
+            for x in rng.choice(ratios, min(3, ratios.size), replace=False):
+                alphas = alphas + [float(x), math.nextafter(x, 0.0), min(math.nextafter(x, 1.0), 1.0)]
+            found = 0
+            for alpha in alphas:
+                for t in range(int(np.searchsorted(b, alpha, side="right"))):
+                    if procedures._interval_value(table, t, alpha) is not None:
+                        assert key[t] <= alpha, (stats.filter_p, stats.select_p, alpha, t)
+                        found += b[t] > 0.0
+            return found
+
+        done = found = 0
+        while done < 500:
+            stats = helpers.random_stats(rng, max_m=20, max_n=5)
+            if stats is None:
+                continue
+            done += 1
+            found += check(stats, base + [helpers.random_alpha(rng)])
+            if done % 2:
+                scale = float(rng.choice([1e-300, 1e-308, 1e-312, 1e-318, 1e-322]))
+                scaled = af.FilterSelectStats(
+                    stats.filter_p * scale, stats.select_p * scale, stats.testable
+                )
+                found += check(scaled, base + [1e-310, 5e-324])
+        assert found > 5000
+
+        tiny = [1e-310, 1e-318, 5e-324]
+        cases = {
+            # cF = 1 and cS = 0 at the edge 0.01: no feasible value, key inf
+            "cS = 0": stats_from_fs([0.01, 0.5], [0.2, 0.6]),
+            # F and S at 0, and the edge 0 also where no value lies there
+            "edge at 0": stats_from_fs([0.0, 0.3, 0.1], [0.0, 0.4, 0.2]),
+            "subnormal": stats_from_fs([5e-324, 1e-310, 0.2], [1e-310, 2e-310, 0.3]),
+            "F tied with S": stats_from_fs([0.1, 0.2, 0.2], [0.2, 0.3, 0.2]),
+        }
+        for name, stats in cases.items():
+            check(stats, base + tiny)
+            indexed = procedures._breakpoints(stats, 1.0, indexed=True)
+            plain = procedures._breakpoints(stats, 1.0)
+            for alpha in base + tiny + [0.2, 0.3]:
+                want = helpers.adafilter_bh_oracle(stats, alpha).gamma0
+                assert procedures._bh_scan(indexed, alpha) == want, (name, alpha)
+                assert procedures._bh_scan(plain, alpha) == want, (name, alpha)
+        b, key = procedures._breakpoints(cases["cS = 0"], 1.0)[0::4]
+        assert key[b == 0.01] == math.inf
+        b, key = procedures._breakpoints(cases["subnormal"], 1.0)[0::4]
+        assert (key[b < 1e-290] == 0.0).all() and (b < 1e-290).sum() == 4
+
+    def test_indexed_scan_matches_the_plain_scan_at_every_level(self, monkeypatch):
+        # the matrix of test_adjusted_values_match_the_bisection_oracle_at_m_2000:
+        # at every level the bisection visits, the lookup of the highest
+        # flagged interval gives what the plain screen gives, both where the
+        # lookup answers and where it falls back to the screen
+        rng = np.random.default_rng(59)
+        p = rng.random((4, 2000))
+        p[:, :400] *= 0.01
+        p[0] = np.round(p[0], 3)
+        p[1] = np.round(p[1], 2)
+        stats = af.compute_filter_select(af.validate_matrix(p), 2)
+        levels = _bisection_levels(stats, monkeypatch)
+        indexed = procedures._breakpoints(stats, 1.0, indexed=True)
+        plain = procedures._breakpoints(stats, 1.0)
+        assert plain[5] is None and len(levels) > 1000
+        answered = 0
+        for alpha in levels:
+            assert procedures._bh_scan(indexed, alpha) == procedures._bh_scan(plain, alpha), alpha
+            answered += _lookup_answers(indexed, alpha)
+        assert 0 < answered < len(levels)
+
+    def test_indexed_scan_matches_the_oracle_on_sampled_levels(self, monkeypatch):
+        # the oracle is quadratic and kept to M_t <= 1,200, so this is the
+        # construction above at M = 600, on a seeded sample of its levels:
+        # two where the lookup answers and two where it falls back
+        rng = np.random.default_rng(59)
+        p = rng.random((4, 600))
+        p[:, :120] *= 0.01
+        p[0] = np.round(p[0], 3)
+        p[1] = np.round(p[1], 2)
+        stats = af.compute_filter_select(af.validate_matrix(p), 2)
+        indexed = procedures._breakpoints(stats, 1.0, indexed=True)
+        plain = procedures._breakpoints(stats, 1.0)
+        levels = _bisection_levels(stats, monkeypatch)
+        answers = [_lookup_answers(indexed, alpha) for alpha in levels]
+        sample = np.random.default_rng(71)
+        for kind in (True, False):
+            pool = [alpha for alpha, a in zip(levels, answers) if a == kind]
+            for alpha in sample.choice(pool, 2, replace=False):
+                want = helpers.adafilter_bh_oracle(stats, float(alpha)).gamma0
+                assert procedures._bh_scan(indexed, float(alpha)) == want, alpha
+                assert procedures._bh_scan(plain, float(alpha)) == want, alpha
 
 
 class TestOracleAgreement:
