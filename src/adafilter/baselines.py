@@ -45,7 +45,7 @@ def DirectProcedureSpec(
     combiner: PCCombinerKind, adjustment: AdjustmentKind, alpha: float
 ) -> Procedure:
     """The direct Procedure with this combiner, correction and level: the
-    benchmark's spelling, kept until it builds a Procedure (ROADMAP item 2)."""
+    benchmark's spelling, kept until it builds a Procedure (ROADMAP item 3)."""
     return Procedure(ProcedureKind("direct-" + adjustment.value), alpha, combiner)
 
 

@@ -123,11 +123,11 @@ def validate_matrix(values: object, ids: object = None) -> PValueMatrix:
 
     id_tuple: tuple[str, ...] | None = None
     if ids is not None:
-        id_tuple = tuple(str(x) for x in ids)
+        id_tuple = tuple(ids)
+        if set(map(type, id_tuple)) != {str}:
+            id_tuple = tuple(str(x) for x in id_tuple)
         if len(id_tuple) != m:
-            raise DimensionMismatch(
-                f"got {len(id_tuple)} ids for {m} hypothesis columns"
-            )
+            raise DimensionMismatch(f"got {len(id_tuple)} ids for {m} hypothesis columns")
         if len(set(id_tuple)) != m:
             seen: set[str] = set()
             for ident in id_tuple:

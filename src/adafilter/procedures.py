@@ -325,11 +325,10 @@ def _grid_value_below(hi: float, alpha_fraction: Fraction, max_den: int) -> floa
     return float(q * alpha_fraction)
 
 
-def _breakpoints(stats: FilterSelectStats, top: float, indexed: bool = False) -> tuple:
-    """(b, cF, cS, M_t, key, lookup): the sorted unique {0} and F and S values up
-    to top, with #{F <= b}, #{S <= b} and the screen key (_bh_scan) at each b; one
-    table serves every alpha <= top. indexed adds the lookup: the keys ascending,
-    with the running maximum of their indices. Otherwise lookup is None."""
+def _breakpoints(stats: FilterSelectStats, top: float) -> tuple:
+    """(b, cF, cS, M_t, key): the sorted unique {0} and F and S values up to top,
+    with #{F <= b}, #{S <= b} and the screen key (_bh_scan, _bh_adjusted) at each
+    b; one table serves every alpha <= top."""
     m_t = _testable_count(stats)
     cf_top, cs_top = stats.counts(top)
     inner = (stats.sorted_filter[:cf_top], stats.sorted_select[:cs_top])
@@ -338,9 +337,7 @@ def _breakpoints(stats: FilterSelectStats, top: float, indexed: bool = False) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         key = b * c_f / c_s * (1.0 - 2e-15)
     key[: np.searchsorted(b, 1e-290)] = 0.0
-    order = np.argsort(key) if indexed else None
-    lookup = (key[order].tolist(), np.maximum.accumulate(order).tolist()) if indexed else None
-    return (b, c_f, c_s, m_t, key, lookup)
+    return (b, c_f, c_s, m_t, key)
 
 
 def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
@@ -351,29 +348,17 @@ def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
 def _bh_scan(table: tuple, alpha: float) -> float:
     """Largest feasible grid value at alpha, from a _breakpoints table up to a top >= alpha.
 
-    The breakpoints b <= alpha cut [0, inf) into intervals [lo, hi), the top
-    one [b_last, inf), since no F or S lies in (b_last, alpha]. The counts cF
-    and cS are constant on each, so a grid value fl(k*alpha/m) in [lo, hi) is
-    feasible exactly when k/m <= cS/cF. The scan goes from the top interval
-    down and returns the first feasible value _interval_value finds, since
-    every later interval lies below lo.
+    The breakpoints b <= alpha cut [0, inf) into intervals [lo, hi) (the top one
+    [b_last, inf)), on which cF and cS are constant: fl(k*alpha/m) in [lo, hi) is
+    feasible exactly when k/m <= cS/cF. The first value found from the top wins.
 
-    Only intervals with key <= alpha are checked. A feasible fl(q*alpha) >= lo
-    with q <= cS/cF gives lo*cF/cS <= alpha*(1+u), u = 2**-53, and the key
-    fl(fl(lo*cF)/cS) times 1 - 2e-15, about 1 - 18u, covers that and its own
-    three roundings (cF = 0 gives key 0, cS = 0 < cF inf). Edges below 1e-290,
-    where subnormals break relative bounds, and 0, whose interval holds the
-    feasible 0, have key 0. A lookup names the highest flagged interval in one
-    bisect; the keys are screened only when it starts above alpha or holds no
-    feasible value. The exact check decides, so no screen changes the value.
+    It checks only intervals with key <= alpha. A feasible fl(q*alpha) >= lo with
+    q <= cS/cF gives lo*cF/cS <= alpha*(1+u), u = 2**-53, and the key
+    fl(fl(lo*cF)/cS) * (1 - 2e-15), about 1 - 18u, covers that and its own three
+    roundings (cF = 0 gives key 0, cS = 0 < cF inf). Edges below 1e-290, where
+    subnormals break relative bounds, and 0 (with the feasible 0) have key 0.
     """
-    key, lookup = table[4], table[5]
-    if lookup is not None:
-        keys, highest = lookup
-        g = _interval_value(table, highest[bisect.bisect_right(keys, alpha) - 1], alpha)
-        if g is not None:
-            return g
-    for t in np.flatnonzero(key <= alpha)[::-1]:
+    for t in np.flatnonzero(table[4] <= alpha)[::-1]:
         g = _interval_value(table, int(t), alpha)
         if g is not None:
             return g
@@ -411,15 +396,10 @@ def adafilter_bh(
     always feasible. Output is bit-identical to checking every grid value
     literally (the exhaustive oracle in tests/helpers.py).
 
-    compute_adjusted fills per-hypothesis adjusted values: the smallest alpha
-    at which the hypothesis would be rejected, located by bisection. Rejection
-    is not monotone in alpha for this procedure, so the value is a boundary
-    point of the rejection region, not an exact infimum. The F/S breakpoints
-    are sorted once, with their screen keys (O(M log M)). Each distinct
-    bisection level then costs one bisect and one exact check of the highest
-    flagged interval, plus an O(M) screen when that interval holds no feasible
-    value (1 level in 20 on the benchmark's M = 2,000 matrices). There are up
-    to 60 levels per hypothesis that alpha = 1 rejects.
+    compute_adjusted fills adjusted values (_bh_adjusted), whatever alpha is
+    passed: the exact smallest rejecting alpha of each hypothesis that alpha = 1
+    rejects, 1 for the others. They cost one breakpoint table at alpha = 1, one
+    scan of it, one suffix minimum and an exact settle of its envelope.
     """
     alpha = _check_alpha(alpha)
     gamma0 = _bh_threshold(stats, alpha)
@@ -430,30 +410,49 @@ def adafilter_bh(
 
 
 def _bh_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
-    """1 where alpha = 1 does not reject, NaN where untestable, bisection elsewhere.
+    """Smallest alpha at which adafilter_bh rejects each j that alpha = 1 rejects
+    (0 where S_j = 0), 1 for the others, NaN where untestable; not monotone in alpha.
 
-    Every step scans one indexed breakpoint table built at alpha = 1, and each
-    level is scanned once: bisections share their top levels, and tied S whole paths.
+    alpha rejects j exactly when an interval of the alpha = 1 table from S_j up
+    holds a feasible grid value, so the value is a suffix minimum of the intervals'
+    levels (_interval_level). A level is >= the key and <= max(key, b) * (1 + 2e-14)
+    (no bound below 1e-290 or before the next float); only intervals whose key is
+    at most every bound above them and 1 can hold the minimum, and are settled.
     """
-    table = _breakpoints(stats, 1.0, indexed=True)
-    thresholds: dict[float, float] = {}
+    table = _breakpoints(stats, 1.0)
+    b, c_f, c_s, _, key = table
     out = np.where(stats.testable, 1.0, np.nan)
-    rejected_at_one = stats.testable & (stats.select_p <= _bh_scan(table, 1.0))
-    for j in np.flatnonzero(rejected_at_one):
-        s_j = float(stats.select_p[j])
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid <= 0.0 or mid >= 1.0:
-                break
-            if mid not in thresholds:
-                thresholds[mid] = _bh_scan(table, mid)
-            if s_j <= thresholds[mid]:
-                hi = mid
-            else:
-                lo = mid
-        out[j] = hi
+    rejected = stats.testable & (stats.select_p <= _bh_scan(table, 1.0))
+    upper = np.fmax(key, b) * (1.0 + 2e-14)
+    upper[: np.searchsorted(b, 1e-290)] = math.inf
+    upper[:-1][b[1:] <= np.nextafter(b[:-1], math.inf)] = math.inf
+    above = np.minimum.accumulate(np.append(upper[1:], 1.0)[::-1])[::-1]
+    level = np.where((c_s >= c_f) | (b == 0.0), b, math.inf)
+    for t in np.flatnonzero((key <= above) & np.isinf(level)):
+        level[t] = _interval_level(table, int(t))
+    lowest = np.minimum.accumulate(level[::-1])[::-1]
+    out[rejected] = lowest[np.searchsorted(b, stats.select_p[rejected])]
     return out
+
+
+def _interval_level(table: tuple, t: int) -> float:
+    """Smallest alpha (or any above 1, or inf) whose grid has a feasible value in
+    [lo, hi) from b[t], where lo > 0 and q = cS/cF < 1: feasible means a fraction
+    <= q, so it is the smallest a with fl(q*a) >= lo (the float above fl(lo/q), then
+    down while the next qualifies), unless fl(q*a) jumps to hi, the float after lo;
+    then the next lower fraction is tried."""
+    b, c_f, c_s, m_t = table[:4]
+    lo, hi = float(b[t]), float(b[t + 1]) if t + 1 < b.size else math.inf
+    k, m = int(c_s[t]), int(c_f[t])
+    while k:
+        a = math.nextafter(_grid_float(m, k, *lo.as_integer_ratio()), math.inf)
+        while (down := math.nextafter(a, 0.0)) and _grid_float(k, m, *down.as_integer_ratio()) >= lo:
+            a = down
+        if a > 1.0 or _grid_float(k, m, *a.as_integer_ratio()) < hi:
+            return a
+        q = _farey_left(Fraction(k, m), m_t)
+        k, m = q.numerator, q.denominator
+    return math.inf
 
 
 def curves(

@@ -8,6 +8,7 @@ boundaries.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -105,35 +106,48 @@ def adafilter_bh_oracle(stats: af.FilterSelectStats, alpha: float) -> af.Decisio
     )
 
 
+def smallest_grid_level(b: float, k: int, m: int) -> float:
+    """Smallest float a with fl((k/m) * a) >= b, for 0 < k <= m and b >= 0: from
+    fl(b*m/k), up while the product is below b, then down while it stays >= b."""
+    a = b * m / k
+    while _grid_float(k, m, *a.as_integer_ratio()) < b:
+        a = math.nextafter(a, math.inf)
+    while a > 0.0 and _grid_float(k, m, *math.nextafter(a, 0.0).as_integer_ratio()) >= b:
+        a = math.nextafter(a, 0.0)
+    return a
+
+
 def adafilter_bh_adjusted_oracle(stats: af.FilterSelectStats) -> np.ndarray:
-    """adafilter_bh's adjusted values by the literal bisection on alpha.
+    """adafilter_bh's adjusted values by brute force over every candidate level.
 
-    NaN where untestable, 1 where alpha = 1 does not reject, and elsewhere
-    the upper end after 60 halvings of [0, 1], each deciding by a full
-    adafilter_bh run at the midpoint. The run at each level is kept, since
-    it depends on the level alone.
+    If alpha rejects j and the float below it does not, then alpha is the
+    smallest a with fl(q*a) >= b for some breakpoint b (an F or S value) and
+    some grid fraction q = k/m, 0 < k <= m <= M_t: otherwise the same q puts
+    the same feasible grid value in the same interval one float lower. So
+    the oracle builds every such level up to 1, runs adafilter_bh at each in
+    ascending order, and takes each hypothesis's first rejecting level: 0
+    where S_j = 0, 1 where alpha = 1 does not reject, NaN where untestable.
+    The levels grow with M_t**2 times the breakpoints, so M_t <= 12.
     """
-    rejected_at = {}
-
-    def rejected(alpha: float, j: int) -> bool:
-        if alpha not in rejected_at:
-            rejected_at[alpha] = af.adafilter_bh(stats, alpha).rejected
-        return bool(rejected_at[alpha][j])
-
-    out = np.where(stats.testable, 1.0, np.nan)
-    for j in np.flatnonzero(stats.testable):
-        if not rejected(1.0, j):
-            continue
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid <= 0.0 or mid >= 1.0:
-                break
-            if rejected(mid, j):
-                hi = mid
-            else:
-                lo = mid
-        out[j] = hi
+    m_t = stats.n_testable
+    assert 1 <= m_t <= 12, m_t
+    testable, s = stats.testable, stats.select_p
+    points = np.unique(np.concatenate([stats.filter_p[testable], s[testable]]))
+    grid = {Fraction(k, m) for m in range(1, m_t + 1) for k in range(1, m + 1)}
+    levels = {
+        smallest_grid_level(b, q.numerator, q.denominator)
+        for b in points[(points > 0.0) & (points <= 1.0)].tolist() for q in grid
+    }
+    out = np.where(testable, 1.0, np.nan)
+    out[testable & (s == 0.0)] = 0.0
+    todo = af.adafilter_bh(stats, 1.0).rejected & (s > 0.0)
+    for a in sorted(x for x in levels if x <= 1.0):
+        if not todo.any():
+            break
+        first = todo & af.adafilter_bh(stats, a).rejected
+        out[first] = a
+        todo &= ~first
+    assert not todo.any(), "alpha = 1 rejects j, so some level up to 1 does"
     return out
 
 
@@ -217,7 +231,8 @@ def check_exact_levels(decide, adjusted, stat, testable) -> int:
     """Check each adjusted value v against the procedure that reported it.
 
     decide(alpha) is the rejection mask at level alpha. For every j:
-    - v in (0, 1): decide(v) rejects j and decide(nextafter(v, 0)) keeps it;
+    - v in (0, 1): decide(v) rejects j and decide(nextafter(v, 0)) keeps it,
+      unless that is 0, which is below every level;
     - v = 1: decide(nextafter(1, 0)) keeps j;
     - v = 0 exactly where j is testable and its statistic is 0;
     - v = NaN exactly where j is untestable.
@@ -239,7 +254,8 @@ def check_exact_levels(decide, adjusted, stat, testable) -> int:
         if v < 1.0:
             assert rejected(v, j), (j, v)
             inner += 1
-        assert not rejected(math.nextafter(v, 0.0), j), (j, v)
+        below = math.nextafter(v, 0.0)
+        assert below == 0.0 or not rejected(below, j), (j, v)
     return inner
 
 

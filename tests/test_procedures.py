@@ -1,6 +1,5 @@
 """Adaptive filtering procedures: thresholds, decisions, and the exact grid search."""
 
-import bisect
 import math
 from fractions import Fraction
 
@@ -269,23 +268,6 @@ class TestTwoStepForm:
             assert helpers.results_equal(a, b), (stats.filter_p, alpha)
 
 
-def _bisection_levels(stats, monkeypatch) -> list:
-    """The levels _bh_adjusted scans, in order."""
-    levels = []
-    real = procedures._bh_scan
-    monkeypatch.setattr(procedures, "_bh_scan", lambda table, alpha: levels.append(alpha) or real(table, alpha))
-    procedures._bh_adjusted(stats)
-    monkeypatch.undo()
-    return levels
-
-
-def _lookup_answers(table, alpha) -> bool:
-    """Whether the highest flagged interval of an indexed table holds a feasible value at alpha."""
-    keys, highest = table[5]
-    t = highest[bisect.bisect_right(keys, alpha) - 1]
-    return procedures._interval_value(table, t, alpha) is not None
-
-
 class TestAdaptiveBH:
     def test_rejecting_fixture(self):
         res = af.adafilter_bh(stats_from(TOY_REJECTING), 0.05)
@@ -335,51 +317,45 @@ class TestAdaptiveBH:
                     continue
                 assert 0.0 <= adj <= 1.0
                 if adj < 1.0:
-                    # the reported level is a rejecting level for j
-                    redo = af.adafilter_bh(stats, float(adj))
+                    # the reported level is a rejecting level for j (0, where
+                    # S_j = 0, stands for every level, the smallest included)
+                    redo = af.adafilter_bh(stats, float(adj) or 5e-324)
                     assert redo.rejected[j]
                 if not full.rejected[j]:
                     assert adj == 1.0
 
-    def test_adjusted_scans_each_level_once(self, monkeypatch):
-        # the adjusted values scan one breakpoint table: alpha = 1 once, then
-        # each distinct bisection level once, at most 60 per hypothesis that
-        # alpha = 1 rejects; the decision at alpha scans its own table first
+    def test_adjusted_values_build_one_table_and_scan_it_once(self, monkeypatch):
+        # the adjusted values come from one breakpoint table built at alpha = 1,
+        # scanned once at alpha = 1 for the hypotheses it rejects; the decision
+        # at alpha builds and scans its own table first
         rng = np.random.default_rng(41)
         stats = af.compute_filter_select(af.validate_matrix(rng.random((3, 60)) ** 3), 2)
         r_one = af.adafilter_bh(stats, 1.0).n_rejected
         assert 0 < r_one < stats.n_testable
-        levels = []
-        real = procedures._bh_scan
+        tops, levels = [], []
+        real_breakpoints, real_scan = procedures._breakpoints, procedures._bh_scan
 
-        def counted(table, alpha):
+        def breakpoints(st, top):
+            tops.append(top)
+            return real_breakpoints(st, top)
+
+        def scan(table, alpha):
             levels.append(alpha)
-            return real(table, alpha)
+            return real_scan(table, alpha)
 
-        monkeypatch.setattr(procedures, "_bh_scan", counted)
-        af.adafilter_bh(stats, 0.1, compute_adjusted=True)
-        decision, adjusted = levels[0], levels[1:]
-        assert decision == 0.1
-        assert adjusted.count(1.0) == 1
-        assert len(set(adjusted)) == len(adjusted)
-        assert len(adjusted) <= 1 + 60 * r_one
-
-        # hypotheses that alpha = 1 keeps cost no scan: with one kept
-        # hypothesis more, the same levels are scanned
-        kept = af.FilterSelectStats(
-            np.append(stats.filter_p, 2.0), np.append(stats.select_p, 2.0),
-            np.append(stats.testable, True),
-        )
-        assert af.adafilter_bh(kept, 1.0).n_rejected == r_one
-        levels.clear()
-        procedures._bh_adjusted(kept)
-        assert levels == adjusted
+        monkeypatch.setattr(procedures, "_breakpoints", breakpoints)
+        monkeypatch.setattr(procedures, "_bh_scan", scan)
+        res = af.adafilter_bh(stats, 0.1, compute_adjusted=True)
+        assert tops == [0.1, 1.0] and levels == [0.1, 1.0]
+        assert ((res.adjusted > 0.0) & (res.adjusted < 1.0)).sum() > 0
 
     def test_adjusted_values_match_the_bisection_oracle(self):
+        # bit for bit against the candidate-level brute force (M_t <= 12), which
+        # finds each smallest rejecting level, not a boundary point of the rejections
         rng = np.random.default_rng(53)
-        done = ties = 0
-        while done < 300:
-            inst = helpers.random_matrix(rng, max_m=20, max_n=5)
+        done = ties = values = 0
+        while values < 2000:
+            inst = helpers.random_matrix(rng, max_m=12, max_n=5)
             if inst is None:
                 continue
             mat, r = inst
@@ -392,20 +368,82 @@ class TestAdaptiveBH:
             res = af.adafilter_bh(stats, helpers.random_alpha(rng), compute_adjusted=True)
             want = helpers.adafilter_bh_adjusted_oracle(stats)
             assert res.adjusted.tobytes() == want.tobytes(), (mat.values, r)
-        assert ties == 100
+            values += int(((want > 0.0) & (want < 1.0)).sum())
+        assert ties >= 100
 
     def test_adjusted_values_match_the_bisection_oracle_at_m_2000(self):
-        # half the studies rounded to 2 or 3 decimals, so many S values tie
+        # half the studies rounded to 2 or 3 decimals, so many S values tie;
+        # the brute force is kept to M_t <= 12, so here each value is checked
+        # as an exact level: rejecting at v, keeping one float below
         rng = np.random.default_rng(59)
         p = rng.random((4, 2000))
         p[:, :400] *= 0.01
         p[0] = np.round(p[0], 3)
         p[1] = np.round(p[1], 2)
         stats = af.compute_filter_select(af.validate_matrix(p), 2)
-        res = af.adafilter_bh(stats, 0.1, compute_adjusted=True)
-        want = helpers.adafilter_bh_adjusted_oracle(stats)
-        assert (want < 1.0).sum() >= 300
-        assert res.adjusted.tobytes() == want.tobytes()
+        adjusted = af.adafilter_bh(stats, 0.1, compute_adjusted=True).adjusted
+        at_one = af.adafilter_bh(stats, 1.0).rejected
+        assert (adjusted[stats.testable & ~at_one] == 1.0).all()
+        checked = helpers.check_exact_levels(
+            lambda alpha: af.adafilter_bh(stats, alpha).rejected,
+            np.where(at_one, adjusted, np.nan), stats.select_p, at_one,
+        )
+        assert checked >= 300
+
+    def test_adjusted_values_are_exact_levels_on_subnormal_stats(self):
+        # F and S scaled into the subnormal range, where the relative bounds
+        # that pick the intervals to settle do not hold; half the cases also
+        # against the brute force
+        rng = np.random.default_rng(73)
+        done = checked = 0
+        while checked < 2000:
+            stats = helpers.random_stats(rng, max_m=12, max_n=5)
+            if stats is None:
+                continue
+            done += 1
+            scale = float(rng.choice([1e-300, 1e-308, 1e-312, 1e-318, 1e-322, 5e-324]))
+            stats = af.FilterSelectStats(
+                stats.filter_p * scale, stats.select_p * scale, stats.testable
+            )
+            adjusted = af.adafilter_bh(stats, 0.05, compute_adjusted=True).adjusted
+            checked += helpers.check_exact_levels(
+                lambda alpha: af.adafilter_bh(stats, alpha).rejected,
+                adjusted, stats.select_p, stats.testable,
+            )
+            if done % 2:
+                assert adjusted.tobytes() == helpers.adafilter_bh_adjusted_oracle(stats).tobytes()
+
+    def test_adjusted_values_where_an_edge_is_the_float_after_another(self):
+        # the interval [0.36, next float) has cS/cF = 2/3, and the smallest
+        # alpha with fl(2/3 * alpha) >= 0.36, 0.54, gives the next float, whose
+        # interval (cS/cF = 1/2) holds no feasible value, so j = 4 is kept at
+        # 0.54. In the second case [0.18, next float) is such an interval, so
+        # its ratio 0.27 bounds no level: taken as a bound, it would hide
+        # [0.14, 0.15), whose level 0.28 is S_4's value. Then F planted on the
+        # float after random breakpoints
+        up = lambda x: math.nextafter(x, 1.0)
+        cases = [
+            ([0.2, up(0.2), up(0.36), 0.18], [0.2, 0.99, 0.76, 0.36], [0.4, 0.99, 0.99, 0.72]),
+            ([up(0.18), 0.72, 0.15, 0.14, 0.02], [0.98, 0.94, 0.18, 0.14, 0.29],
+             [0.98, 0.98, 0.3, 0.28, 0.38666666666666666]),
+        ]
+        for f, s, want in cases:
+            stats = stats_from_fs(f, s)
+            adjusted = af.adafilter_bh(stats, 0.05, compute_adjusted=True).adjusted
+            assert adjusted.tolist() == want
+            assert adjusted.tobytes() == helpers.adafilter_bh_adjusted_oracle(stats).tobytes()
+        assert not af.adafilter_bh(stats_from_fs(*cases[0][:2]), 0.54).rejected[3]
+        rng = np.random.default_rng(79)
+        for _ in range(150):
+            m = int(rng.integers(4, 7))
+            s = np.round(rng.random(m), 2)
+            f = np.round(rng.random(m) * s, 2)
+            points = np.concatenate([f, s])
+            moved = rng.random(m) < 0.6
+            f[moved] = np.minimum(np.nextafter(rng.choice(points, m), 1.0), s)[moved]
+            stats = stats_from_fs(f, s)
+            got = af.adafilter_bh(stats, 0.05, compute_adjusted=True).adjusted
+            assert got.tobytes() == helpers.adafilter_bh_adjusted_oracle(stats).tobytes(), (f, s)
 
     def test_shared_table_scan_matches_threshold_and_oracle(self):
         # one table built at alpha = 1 answers every alpha <= 1 as a table
@@ -500,59 +538,14 @@ class TestAdaptiveBH:
         }
         for name, stats in cases.items():
             check(stats, base + tiny)
-            indexed = procedures._breakpoints(stats, 1.0, indexed=True)
-            plain = procedures._breakpoints(stats, 1.0)
+            table = procedures._breakpoints(stats, 1.0)
             for alpha in base + tiny + [0.2, 0.3]:
                 want = helpers.adafilter_bh_oracle(stats, alpha).gamma0
-                assert procedures._bh_scan(indexed, alpha) == want, (name, alpha)
-                assert procedures._bh_scan(plain, alpha) == want, (name, alpha)
+                assert procedures._bh_scan(table, alpha) == want, (name, alpha)
         b, key = procedures._breakpoints(cases["cS = 0"], 1.0)[0::4]
         assert key[b == 0.01] == math.inf
         b, key = procedures._breakpoints(cases["subnormal"], 1.0)[0::4]
         assert (key[b < 1e-290] == 0.0).all() and (b < 1e-290).sum() == 4
-
-    def test_indexed_scan_matches_the_plain_scan_at_every_level(self, monkeypatch):
-        # the matrix of test_adjusted_values_match_the_bisection_oracle_at_m_2000:
-        # at every level the bisection visits, the lookup of the highest
-        # flagged interval gives what the plain screen gives, both where the
-        # lookup answers and where it falls back to the screen
-        rng = np.random.default_rng(59)
-        p = rng.random((4, 2000))
-        p[:, :400] *= 0.01
-        p[0] = np.round(p[0], 3)
-        p[1] = np.round(p[1], 2)
-        stats = af.compute_filter_select(af.validate_matrix(p), 2)
-        levels = _bisection_levels(stats, monkeypatch)
-        indexed = procedures._breakpoints(stats, 1.0, indexed=True)
-        plain = procedures._breakpoints(stats, 1.0)
-        assert plain[5] is None and len(levels) > 1000
-        answered = 0
-        for alpha in levels:
-            assert procedures._bh_scan(indexed, alpha) == procedures._bh_scan(plain, alpha), alpha
-            answered += _lookup_answers(indexed, alpha)
-        assert 0 < answered < len(levels)
-
-    def test_indexed_scan_matches_the_oracle_on_sampled_levels(self, monkeypatch):
-        # the oracle is quadratic and kept to M_t <= 1,200, so this is the
-        # construction above at M = 600, on a seeded sample of its levels:
-        # two where the lookup answers and two where it falls back
-        rng = np.random.default_rng(59)
-        p = rng.random((4, 600))
-        p[:, :120] *= 0.01
-        p[0] = np.round(p[0], 3)
-        p[1] = np.round(p[1], 2)
-        stats = af.compute_filter_select(af.validate_matrix(p), 2)
-        indexed = procedures._breakpoints(stats, 1.0, indexed=True)
-        plain = procedures._breakpoints(stats, 1.0)
-        levels = _bisection_levels(stats, monkeypatch)
-        answers = [_lookup_answers(indexed, alpha) for alpha in levels]
-        sample = np.random.default_rng(71)
-        for kind in (True, False):
-            pool = [alpha for alpha, a in zip(levels, answers) if a == kind]
-            for alpha in sample.choice(pool, 2, replace=False):
-                want = helpers.adafilter_bh_oracle(stats, float(alpha)).gamma0
-                assert procedures._bh_scan(indexed, float(alpha)) == want, alpha
-                assert procedures._bh_scan(plain, float(alpha)) == want, alpha
 
 
 class TestOracleAgreement:
