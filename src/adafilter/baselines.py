@@ -19,6 +19,8 @@ from .procedures import (
     DecisionResult,
     Procedure,
     ProcedureKind,
+    _breakpoints,
+    _bh_scan,
     _check_alpha,
     _decision,
     _smallest_level,
@@ -65,7 +67,8 @@ def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bo
     """Classic BH step-up on a 1-d array of p-values at a level alpha in (0, 1].
 
     Returns the rejection mask and the p-value cutoff actually applied
-    (0.0 when nothing is rejected). Ties at the cutoff are all rejected.
+    (0.0 when nothing is rejected). Ties at the cutoff are all rejected, and
+    the rungs k*alpha/m are correctly rounded.
     """
     cutoff = _bh_cutoff(pvalues, _check_alpha(alpha), len(pvalues))
     return pvalues <= cutoff, cutoff
@@ -73,16 +76,14 @@ def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bo
 
 def _bh_cutoff(pvalues: NDArray[np.float64], alpha: float, m: int) -> float:
     """BH step-up cutoff among m p-values: P_(k*) for the largest k* with
-    P_(k*) <= alpha * (k*/m), else 0.0.
-
-    It sorts only the P <= alpha, since P_(k) <= alpha * (k/m) implies
-    P_(k) <= alpha; the first rungs of its ladder are the full ladder's floats.
-    NaN fails P <= alpha, so it is never rejected, though m may count it.
-    With alpha >= 0 a P = 0 is always rejected, so the cutoff 0.0 rejects none.
-    """
+    P_(k*) <= fl(k*alpha/m), else 0.0 (with alpha >= 0 a P = 0 is always rejected, so
+    0.0 rejects none). It is _bh_threshold's body with every F_j = 0 (kept apart so
+    the traced _bh_threshold calls stay adaptive BH's), on a table of the P <= alpha
+    only. NaN fails P <= alpha, so it is never rejected, though m may count it."""
     head = np.sort(pvalues[pvalues <= alpha])
-    ok = np.flatnonzero(head <= alpha * (np.arange(1, head.shape[0] + 1) / m))
-    return float(head[ok[-1]]) if ok.size else 0.0
+    gamma = _bh_scan(_breakpoints(np.zeros(m), head, alpha), alpha)
+    k = int(np.searchsorted(head, gamma, "right"))
+    return float(head[k - 1]) if k else 0.0
 
 
 def direct_adjust(
@@ -98,8 +99,8 @@ def direct_adjust(
     smallest rejecting alpha for Bonferroni (1 if none up to 1, 0 where P = 0),
     the step-up adjustment for BH, NaN where untestable. BH's values cost one
     value sort plus an argsort of only the P below the ladder's top plateau, a
-    few percent of M_t under sparse signal. Without compute_adjusted, adjusted
-    is None and the decision costs one pass plus, for BH, a sort of the P <= alpha.
+    few percent of M_t under sparse signal. Without compute_adjusted, adjusted is
+    None and the decision costs one pass plus, for BH, a table of the P <= alpha.
     """
     if proc.combiner is None:
         raise ValidationError(f"direct_adjust runs a direct procedure, not {proc.kind.value}")

@@ -88,8 +88,8 @@ class FilterSelectStats:
     n_j < r are untestable: testable[j] is False and both p-values are NaN.
 
     The testable F_j and S_j are sorted once, on first use, and every
-    procedure and curve reads its counts #{F_j <= gamma} and #{S_j <= gamma}
-    from counts(). The arrays must not change after construction.
+    procedure and curve counts #{F_j <= gamma} and #{S_j <= gamma} on these
+    sorted arrays. The arrays must not change after construction.
     """
 
     filter_p: NDArray[np.float64]
@@ -325,24 +325,23 @@ def _grid_value_below(hi: float, alpha_fraction: Fraction, max_den: int) -> floa
     return float(q * alpha_fraction)
 
 
-def _breakpoints(stats: FilterSelectStats, top: float) -> tuple:
-    """(b, cF, cS, M_t, key): the sorted unique {0} and F and S values up to top,
-    with #{F <= b}, #{S <= b} and the screen key (_bh_scan, _bh_adjusted) at each
-    b; one table serves every alpha <= top."""
-    m_t = _testable_count(stats)
-    cf_top, cs_top = stats.counts(top)
-    inner = (stats.sorted_filter[:cf_top], stats.sorted_select[:cs_top])
+def _breakpoints(f: NDArray[np.float64], s: NDArray[np.float64], top: float) -> tuple:
+    """(b, cF, cS, M_t, key) from ascending F and S that hold every value <= top,
+    M_t = len(F): the sorted unique {0} and F and S values up to top, with
+    #{F <= b}, #{S <= b} and the screen key (_bh_scan, _bh_adjusted) at each b."""
+    inner = [x[x.searchsorted(0.0, "right"):x.searchsorted(top, "right")] for x in (f, s)]
     b = np.unique(np.concatenate([[0.0], *inner]))
-    c_f, c_s = stats.counts(b)
+    c_f, c_s = f.searchsorted(b, "right"), s.searchsorted(b, "right")
     with np.errstate(divide="ignore", invalid="ignore"):
         key = b * c_f / c_s * (1.0 - 2e-15)
     key[: np.searchsorted(b, 1e-290)] = 0.0
-    return (b, c_f, c_s, m_t, key)
+    return (b, c_f, c_s, f.shape[0], key)
 
 
 def _bh_threshold(stats: FilterSelectStats, alpha: float) -> float:
-    """Largest feasible grid value for the adaptive BH procedure."""
-    return _bh_scan(_breakpoints(stats, alpha), alpha)
+    """Largest feasible grid value for the adaptive BH procedure; M_t = 0 raises."""
+    _testable_count(stats)
+    return _bh_scan(_breakpoints(stats.sorted_filter, stats.sorted_select, alpha), alpha)
 
 
 def _bh_scan(table: tuple, alpha: float) -> float:
@@ -419,7 +418,7 @@ def _bh_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
     (no bound below 1e-290 or before the next float); only intervals whose key is
     at most every bound above them and 1 can hold the minimum, and are settled.
     """
-    table = _breakpoints(stats, 1.0)
+    table = _breakpoints(stats.sorted_filter, stats.sorted_select, 1.0)
     b, c_f, c_s, _, key = table
     out = np.where(stats.testable, 1.0, np.nan)
     rejected = stats.testable & (stats.select_p <= _bh_scan(table, 1.0))
@@ -463,7 +462,7 @@ def curves(
     """Estimated-V and estimated-FDP step curves over a threshold grid.
 
     With grid=None the default grid is used: {0}, every F_j and S_j value
-    up to 1, and, when alpha is given, the ladder alpha*k/100 for k=1..100.
+    up to 1, and, when alpha is given, the ladder fl(k*alpha/100) for k=1..100.
     A provided grid must be finite and nondecreasing within [0, 1]; it is
     copied, never modified. alpha, whenever given, must lie in (0, 1].
     """
@@ -473,7 +472,7 @@ def curves(
         cf_one, cs_one = stats.counts(1.0)
         pieces = [np.array([0.0]), stats.sorted_filter[:cf_one], stats.sorted_select[:cs_one]]
         if alpha is not None:
-            pieces.append(alpha * (np.arange(1, 101) / 100.0))
+            pieces.append([_grid_float(k, 100, *alpha.as_integer_ratio()) for k in range(1, 101)])
         g = np.unique(np.concatenate(pieces))
     else:
         g = np.array(grid, dtype=np.float64)

@@ -373,9 +373,8 @@ def matrix_csv(values: np.ndarray, r_layout: bool = False) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-# Direct BH compares P_(k) with alpha * (k/m), which rounds twice: at alpha =
-# 0.05, m = 10 the seventh rung is 0.034999999999999996, so P_(7) = 0.035 is
-# not rejected although 0.035 <= 7 * 0.05 / 10; 6 rejections at r = 2
+# A tie on a BH rung: at alpha = 0.05, m = 10 the seventh rung fl(7*0.05/10)
+# is 0.035 = P_(7), so 7 rejections at r = 2
 DIRECT_BH_RUNG_CSV = (
     "id,s1,s2\n"
     + "".join(f"g{j},0.001,0.001\n" for j in range(1, 7))

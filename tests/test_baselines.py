@@ -1,6 +1,8 @@
 """Direct (combine-then-adjust) baselines and the conjunction error bound."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,12 +21,13 @@ def direct(combiner, adjustment, alpha=0.05) -> af.Procedure:
 
 
 def naive_bh(pvalues, alpha):
-    """Reference step-up: largest k with P_(k) <= k*alpha/m, reject below."""
+    """Reference step-up: largest k with P_(k) <= fl(k*alpha/m), the rung rounded
+    once from the exact rational, reject below."""
     m = len(pvalues)
     order = sorted(pvalues)
     k_star = 0
     for k in range(1, m + 1):
-        if order[k - 1] <= k * alpha / m:
+        if order[k - 1] <= float(Fraction(k, m) * Fraction(alpha)):
             k_star = k
     if k_star == 0:
         return [False] * m, 0.0
@@ -81,6 +84,33 @@ class TestBhStepup:
             want_mask, want_cutoff = naive_bh(p.tolist(), alpha)
             assert mask.tolist() == want_mask
             assert cutoff == want_cutoff
+
+    def test_matches_exact_rungs_on_planted_decimals(self):
+        # decimal p-values on a rung fl(k*alpha/m), one ulp to either side, or
+        # at the decimal k*alpha/m; bh_stepup and direct BH (at r = n = 2 the
+        # Bonferroni PC p-value of a column (p, p) is p) must give the oracle's
+        # k* and cutoff
+        rng = np.random.default_rng(83)
+        for _ in range(2000):
+            m = int(rng.integers(1, 16))
+            alpha = str(rng.choice(["0.01", "0.05", "0.1", "0.2", "0.25", "0.3"]))
+            if rng.random() < 0.3:
+                alpha = str(round(float(rng.uniform(0.001, 1.0)), 3))
+            p = np.round(np.minimum(rng.random(m) * float(alpha) * 1.5, 1.0), 3)
+            for j in np.flatnonzero(rng.random(m) < 0.6):
+                k = int(rng.integers(1, m + 1))
+                rung = float(Fraction(k, m) * Fraction(float(alpha)))
+                p[j] = rng.choice([
+                    rung, math.nextafter(rung, 0.0), math.nextafter(rung, 1.0),
+                    float(Decimal(k) * Decimal(alpha) / m),
+                ])
+            alpha = float(alpha)
+            want_mask, want_cutoff = naive_bh(p.tolist(), alpha)
+            mask, cutoff = bh_stepup(p, alpha)
+            assert (mask.tolist(), cutoff) == (want_mask, want_cutoff), (p, alpha)
+            mat = af.validate_matrix([p.tolist() + [0.001], p.tolist() + [NAN]])
+            res = af.direct_adjust(mat, 2, direct("bonferroni", "bh", alpha), False)
+            assert (res.rejected.tolist(), res.gamma0) == (want_mask + [False], want_cutoff)
 
 
 class TestDirectAdjust:
@@ -260,6 +290,31 @@ class TestDirectAdjust:
             mat = af.validate_matrix([pcs + [0.001], pcs + [NAN]])
             assert check(mat, 2, "bonferroni", 0.05) == rejections
 
+
+    def test_bh_is_adaptive_bh_with_every_filter_value_zero(self):
+        # with F_j = 0 for every testable j, #{F <= gamma} = M_t and adaptive BH's
+        # rule gamma * M_t <= alpha * #{PC <= gamma} is the BH step-up; direct BH
+        # reports the largest PC p-value <= that gamma0 as its cutoff
+        rng = np.random.default_rng(89)
+        done = rejected = 0
+        while done < 300:
+            inst = helpers.random_matrix(rng, max_m=30)
+            if inst is None:
+                continue
+            mat, r = inst
+            done += 1
+            alpha = helpers.random_alpha(rng)
+            for combiner in af.PCCombinerKind:
+                res = af.direct_adjust(mat, r, direct(combiner.value, "bh", alpha), False)
+                pc = mat.pc_pvalues(r, combiner)
+                testable = ~res.untestable
+                stats = af.FilterSelectStats(np.where(testable, 0.0, np.nan), pc, testable)
+                adaptive = af.adafilter_bh(stats, alpha)
+                assert res.rejected.tolist() == adaptive.rejected.tolist(), (mat.values, r, alpha)
+                below = pc[testable & (pc <= adaptive.gamma0)]
+                assert res.gamma0 == (below.max() if below.size else 0.0)
+                rejected += res.n_rejected
+        assert rejected > 500
 
     def test_adjusted_values_change_no_decision(self):
         # adjusted values are built only on request; the BH decision reads the

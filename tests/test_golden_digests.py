@@ -56,7 +56,7 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
         cases[f"curve r={r}"] = ("golden", ["curve", "--r", str(r)])
         cases[f"curve r={r} alpha=0.05"] = ("golden", ["curve", "--r", str(r), "--alpha", "0.05"])
     cases["curve n=40 r=20"] = ("golden40", ["curve", "--r", "20"])
-    # 6 rejections today (helpers.DIRECT_BH_RUNG_CSV); 7 once the rung is correctly rounded
+    # 7 rejections: the seventh rung, correctly rounded, is P_(7) (helpers.DIRECT_BH_RUNG_CSV)
     cases["test direct-bh/bonferroni rung tie"] = ("rung", [
         "test", "--method", "direct-bh", "--combiner", "bonferroni", "--r", "2", "--alpha", "0.05",
     ])

@@ -31,6 +31,11 @@ def stats_from_fs(filter_p, select_p) -> af.FilterSelectStats:
     return af.FilterSelectStats(filter_p=f, select_p=s, testable=testable)
 
 
+def table_of(stats, top=1.0) -> tuple:
+    """The breakpoint table of stats' sorted F and S up to top."""
+    return procedures._breakpoints(stats.sorted_filter, stats.sorted_select, top)
+
+
 # two 2-study fixtures: the second is entrywise <= the first, yet only the
 # first produces a rejection (threshold adaptivity is not monotone in
 # other columns' p-values)
@@ -335,9 +340,9 @@ class TestAdaptiveBH:
         tops, levels = [], []
         real_breakpoints, real_scan = procedures._breakpoints, procedures._bh_scan
 
-        def breakpoints(st, top):
+        def breakpoints(f, s, top):
             tops.append(top)
-            return real_breakpoints(st, top)
+            return real_breakpoints(f, s, top)
 
         def scan(table, alpha):
             levels.append(alpha)
@@ -456,7 +461,7 @@ class TestAdaptiveBH:
             if stats is None:
                 continue
             done += 1
-            table = procedures._breakpoints(stats, 1.0)
+            table = table_of(stats)
             points = table[0][(table[0] > 0.0) & (table[0] <= 1.0)]
             alphas = [1.0]
             if points.size:
@@ -476,7 +481,7 @@ class TestAdaptiveBH:
         p = rng.random((2, 1200))
         p[:, :600] *= 0.05
         stats = af.compute_filter_select(af.validate_matrix(p), 2)
-        table = procedures._breakpoints(stats, 1.0)
+        table = table_of(stats)
         want = helpers.adafilter_bh_oracle(stats, 0.1).gamma0
         assert 0.0 < want < 0.1
         assert procedures._bh_scan(table, 0.1) == want
@@ -497,7 +502,7 @@ class TestAdaptiveBH:
         base = [1.0, 0.05, 1e-12, 1e-300]
 
         def check(stats, alphas):
-            table = procedures._breakpoints(stats, 1.0)
+            table = table_of(stats)
             b, c_f, c_s, key = table[0], table[1], table[2], table[4]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = b * c_f / c_s
@@ -538,14 +543,33 @@ class TestAdaptiveBH:
         }
         for name, stats in cases.items():
             check(stats, base + tiny)
-            table = procedures._breakpoints(stats, 1.0)
+            table = table_of(stats)
             for alpha in base + tiny + [0.2, 0.3]:
                 want = helpers.adafilter_bh_oracle(stats, alpha).gamma0
                 assert procedures._bh_scan(table, alpha) == want, (name, alpha)
-        b, key = procedures._breakpoints(cases["cS = 0"], 1.0)[0::4]
+        b, key = table_of(cases["cS = 0"])[0::4]
         assert key[b == 0.01] == math.inf
-        b, key = procedures._breakpoints(cases["subnormal"], 1.0)[0::4]
+        b, key = table_of(cases["subnormal"])[0::4]
         assert (key[b < 1e-290] == 0.0).all() and (b < 1e-290).sum() == 4
+
+
+    def test_screen_key_margin_covers_a_key_two_ulps_above_alpha(self):
+        # with every F = 0 and M_t = 8,195 at alpha = 0.05, the rung
+        # fl(5126 * alpha / 8195) rounds up, and so does fl(b * cF), so
+        # fl(fl(b * cF) / cS) lands two ulps above alpha. The key's margin must
+        # bring it back to alpha: 1 - 2e-15 does, 1 - u (a margin of 1e-16)
+        # leaves one ulp, and the scan would then skip the threshold's interval
+        m, k, alpha = 8195, 5126, 0.05
+        rung = _grid_float(k, m, *alpha.as_integer_ratio())
+        s = np.array([1e-4] * (k - 1) + [rung] + [0.9] * (m - k))
+        table = procedures._breakpoints(np.zeros(m), s, alpha)
+        b, c_f, c_s, key = table[0], table[1], table[2], table[4]
+        assert (b[-1], c_f[-1], c_s[-1]) == (rung, m, k)
+        assert rung * m / k == math.nextafter(math.nextafter(alpha, 1.0), 1.0)
+        assert key[-1] <= alpha
+        assert procedures._bh_scan(table, alpha) == rung
+        stats = af.FilterSelectStats(np.zeros(m), s, np.ones(m, dtype=np.bool_))
+        assert af.adafilter_bh(stats, alpha).n_rejected == k
 
 
 class TestOracleAgreement:
