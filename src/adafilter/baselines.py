@@ -76,12 +76,12 @@ def bh_stepup(pvalues: NDArray[np.float64], alpha: float) -> tuple[NDArray[np.bo
 
 def _bh_cutoff(pvalues: NDArray[np.float64], alpha: float, m: int) -> float:
     """BH step-up cutoff among m p-values: P_(k*) for the largest k* with
-    P_(k*) <= fl(k*alpha/m), else 0.0 (with alpha >= 0 a P = 0 is always rejected, so
-    0.0 rejects none). It is _bh_threshold's body with every F_j = 0 (kept apart so
-    the traced _bh_threshold calls stay adaptive BH's), on a table of the P <= alpha
-    only. NaN fails P <= alpha, so it is never rejected, though m may count it."""
+    P_(k*) <= fl(k*alpha/m), else 0.0 (a P = 0 is always rejected, so 0.0 rejects
+    none). It is _bh_threshold's body with every F_j = 0, a zero-stride view of 0.0
+    (kept apart so the traced _bh_threshold calls stay adaptive BH's), on a table of
+    the P <= alpha only. NaN fails P <= alpha: never rejected, though m may count it."""
     head = np.sort(pvalues[pvalues <= alpha])
-    gamma = _bh_scan(_breakpoints(np.zeros(m), head, alpha), alpha)
+    gamma = _bh_scan(_breakpoints(np.broadcast_to(0.0, m), head, alpha), alpha)
     k = int(np.searchsorted(head, gamma, "right"))
     return float(head[k - 1]) if k else 0.0
 

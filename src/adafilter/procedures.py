@@ -398,7 +398,7 @@ def adafilter_bh(
     compute_adjusted fills adjusted values (_bh_adjusted), whatever alpha is
     passed: the exact smallest rejecting alpha of each hypothesis that alpha = 1
     rejects, 1 for the others. They cost one breakpoint table at alpha = 1, one
-    scan of it, one suffix minimum and an exact settle of its envelope.
+    scan of it, one suffix minimum and a top-down exact settle of a few intervals.
     """
     alpha = _check_alpha(alpha)
     gamma0 = _bh_threshold(stats, alpha)
@@ -414,21 +414,21 @@ def _bh_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
 
     alpha rejects j exactly when an interval of the alpha = 1 table from S_j up
     holds a feasible grid value, so the value is a suffix minimum of the intervals'
-    levels (_interval_level). A level is >= the key and <= max(key, b) * (1 + 2e-14)
-    (no bound below 1e-290 or before the next float); only intervals whose key is
-    at most every bound above them and 1 can hold the minimum, and are settled.
+    levels: b where cS >= cF or b = 0, else _interval_level's, never below the key
+    (_bh_scan's screen). So, from the top down, an interval is settled only when its
+    key is at most 1 and below every level above it, cheap or settled (best).
     """
     table = _breakpoints(stats.sorted_filter, stats.sorted_select, 1.0)
     b, c_f, c_s, _, key = table
     out = np.where(stats.testable, 1.0, np.nan)
     rejected = stats.testable & (stats.select_p <= _bh_scan(table, 1.0))
-    upper = np.fmax(key, b) * (1.0 + 2e-14)
-    upper[: np.searchsorted(b, 1e-290)] = math.inf
-    upper[:-1][b[1:] <= np.nextafter(b[:-1], math.inf)] = math.inf
-    above = np.minimum.accumulate(np.append(upper[1:], 1.0)[::-1])[::-1]
     level = np.where((c_s >= c_f) | (b == 0.0), b, math.inf)
-    for t in np.flatnonzero((key <= above) & np.isinf(level)):
-        level[t] = _interval_level(table, int(t))
+    above = np.minimum.accumulate(np.append(level[1:], math.inf)[::-1])[::-1]
+    todo = np.flatnonzero(np.isinf(level) & (key < above) & (key <= 1.0))[::-1]
+    best = math.inf
+    for t, k in zip(todo.tolist(), key[todo].tolist()):
+        if k < best:
+            best = level[t] = min(best, _interval_level(table, t))
     lowest = np.minimum.accumulate(level[::-1])[::-1]
     out[rejected] = lowest[np.searchsorted(b, stats.select_p[rejected])]
     return out

@@ -455,6 +455,18 @@ class TestMemoryBound:
             peak = self.arrays(af.direct_adjust, mat, 4, proc)
             assert peak <= 3.0, (kind, peak)
 
+    def test_direct_bh_decision_holds_under_one_array(self, values):
+        # after a warm-up call, the three boolean masks of the result and the
+        # sorted P <= alpha: the breakpoint table's F (every F_j = 0) must be a
+        # view, not an M-length array
+        mat = validate_matrix(values)
+        for kind in COMBINERS:
+            for alpha in (0.05, 0.5):
+                proc = af.Procedure(af.ProcedureKind.DIRECT_BH, alpha, kind)
+                af.run_procedure(mat, 4, proc)
+                peak = self.arrays(af.run_procedure, mat, 4, proc)
+                assert peak <= 0.75, (kind, alpha, peak)
+
     def test_validation_holds_little_beside_its_copy(self, values):
         # the copy it keeps is 8 arrays
         assert self.arrays(validate_matrix, values) <= 9.0

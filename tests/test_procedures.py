@@ -36,6 +36,27 @@ def table_of(stats, top=1.0) -> tuple:
     return procedures._breakpoints(stats.sorted_filter, stats.sorted_select, top)
 
 
+def eager_levels(table) -> np.ndarray:
+    """Every interval's level in an alpha = 1 table, whatever its key: b where
+    cS >= cF or b = 0, else procedures._interval_level's."""
+    b, c_f, c_s = table[:3]
+    return np.array([
+        b[t] if c_s[t] >= c_f[t] or b[t] == 0.0 else procedures._interval_level(table, t)
+        for t in range(b.size)
+    ])
+
+
+def eager_adjusted(stats) -> np.ndarray:
+    """adafilter_bh's adjusted values from an eager settle: the suffix minimum of
+    every level, 1 where alpha = 1 rejects nothing, NaN where untestable."""
+    table = table_of(stats)
+    lowest = np.minimum.accumulate(eager_levels(table)[::-1])[::-1]
+    out = np.where(stats.testable, 1.0, np.nan)
+    rejected = af.adafilter_bh(stats, 1.0).rejected
+    out[rejected] = lowest[np.searchsorted(table[0], stats.select_p[rejected])]
+    return out
+
+
 # two 2-study fixtures: the second is entrywise <= the first, yet only the
 # first produces a rejection (threshold adaptivity is not monotone in
 # other columns' p-values)
@@ -354,7 +375,7 @@ class TestAdaptiveBH:
         assert tops == [0.1, 1.0] and levels == [0.1, 1.0]
         assert ((res.adjusted > 0.0) & (res.adjusted < 1.0)).sum() > 0
 
-    def test_adjusted_values_match_the_bisection_oracle(self):
+    def test_adjusted_values_match_the_brute_force_oracle(self):
         # bit for bit against the candidate-level brute force (M_t <= 12), which
         # finds each smallest rejecting level, not a boundary point of the rejections
         rng = np.random.default_rng(53)
@@ -376,7 +397,7 @@ class TestAdaptiveBH:
             values += int(((want > 0.0) & (want < 1.0)).sum())
         assert ties >= 100
 
-    def test_adjusted_values_match_the_bisection_oracle_at_m_2000(self):
+    def test_adjusted_values_are_exact_levels_at_m_2000(self):
         # half the studies rounded to 2 or 3 decimals, so many S values tie;
         # the brute force is kept to M_t <= 12, so here each value is checked
         # as an exact level: rejecting at v, keeping one float below
@@ -395,10 +416,63 @@ class TestAdaptiveBH:
         )
         assert checked >= 300
 
+    def test_top_down_settle_matches_an_eager_settle(self):
+        # bit for bit, in three kinds of cases: plain, scaled into the subnormal
+        # range, and with F planted on the float after a breakpoint, so that an
+        # interval's smallest alpha may reach only its next-float edge
+        rng = np.random.default_rng(83)
+        edges = values = 0
+        for case in range(2100):
+            while (stats := helpers.random_stats(rng, max_m=30, max_n=5)) is None:
+                pass
+            f, s, testable = stats.filter_p, stats.select_p, stats.testable
+            if case % 3 == 1:
+                scale = float(rng.choice([1e-300, 1e-308, 1e-312, 1e-318, 1e-322, 5e-324]))
+                f, s = f * scale, s * scale
+            elif case % 3 == 2:
+                points = np.unique(np.concatenate([f[testable], s[testable]]))
+                planted = np.minimum(np.nextafter(rng.choice(points, f.size), np.inf), s)
+                f = np.where(testable & (rng.random(f.size) < 0.6), planted, f)
+            stats = af.FilterSelectStats(f, s, testable)
+            b = table_of(stats)[0]
+            edges += bool((b[1:] == np.nextafter(b[:-1], np.inf)).any())
+            want = eager_adjusted(stats)
+            assert procedures._bh_adjusted(stats).tobytes() == want.tobytes(), (case, f, s)
+            values += int(((want > 0.0) & (want < 1.0)).sum())
+        assert edges >= 500 and values >= 10000
+
+    def test_top_down_settle_is_lazy(self, monkeypatch):
+        # the matrix of test_adjusted_values_are_exact_levels_at_m_2000: the
+        # settle asks _interval_level, from the top down, for exactly the
+        # intervals that are not cheap, whose key is at most 1 and below the
+        # eager minimum of every level above them
+        rng = np.random.default_rng(59)
+        p = rng.random((4, 2000))
+        p[:, :400] *= 0.01
+        p[0] = np.round(p[0], 3)
+        p[1] = np.round(p[1], 2)
+        stats = af.compute_filter_select(af.validate_matrix(p), 2)
+        table = table_of(stats)
+        b, c_f, c_s, key = table[0], table[1], table[2], table[4]
+        above = np.append(np.minimum.accumulate(eager_levels(table)[:0:-1])[::-1], math.inf)
+        costly = (c_s < c_f) & (b > 0.0)
+        want = np.flatnonzero(costly & (key <= 1.0) & (key < above))[::-1].tolist()
+        asked, real = [], procedures._interval_level
+
+        def recording(table, t):
+            asked.append(t)
+            return real(table, t)
+
+        monkeypatch.setattr(procedures, "_interval_level", recording)
+        procedures._bh_adjusted(stats)
+        assert asked == want
+        # hundreds of settles, and hundreds more skipped with a key at most 1
+        assert 300 < len(want) < (costly & (key <= 1.0)).sum() - 300
+
     def test_adjusted_values_are_exact_levels_on_subnormal_stats(self):
-        # F and S scaled into the subnormal range, where the relative bounds
-        # that pick the intervals to settle do not hold; half the cases also
-        # against the brute force
+        # F and S scaled into the subnormal range, where every key below 1e-290
+        # is 0, so the settle there rests on the exact levels alone; half the
+        # cases also against the brute force
         rng = np.random.default_rng(73)
         done = checked = 0
         while checked < 2000:
@@ -423,9 +497,9 @@ class TestAdaptiveBH:
         # alpha with fl(2/3 * alpha) >= 0.36, 0.54, gives the next float, whose
         # interval (cS/cF = 1/2) holds no feasible value, so j = 4 is kept at
         # 0.54. In the second case [0.18, next float) is such an interval, so
-        # its ratio 0.27 bounds no level: taken as a bound, it would hide
-        # [0.14, 0.15), whose level 0.28 is S_4's value. Then F planted on the
-        # float after random breakpoints
+        # its level is not 0.27, the smallest alpha with fl(2/3 * alpha) >= 0.18:
+        # a settle that took 0.27 for it would hide [0.14, 0.15), whose level
+        # 0.28 is S_4's value. Then F planted on the float after random breakpoints
         up = lambda x: math.nextafter(x, 1.0)
         cases = [
             ([0.2, up(0.2), up(0.36), 0.18], [0.2, 0.99, 0.76, 0.36], [0.4, 0.99, 0.99, 0.72]),
