@@ -13,10 +13,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .baselines import run_procedure
 from .errors import AdaFilterError, ValidationError
 from .pc_core import PCCombinerKind
-from .procedures import Procedure, ProcedureKind, compute_filter_select, curves
+from .procedures import Procedure, ProcedureKind, compute_filter_select, curves, run_procedure
 from .simlab import default_panel_procedures, run_panels
 from .tables import atomic_output, format_float, ingest_csv, load_scenarios
 from .tables import write_curves_tsv, write_decisions_tsv, write_metrics_tsv

@@ -27,8 +27,7 @@ from numpy.typing import NDArray
 
 from .errors import NoConvergence, ValidationError
 from .pc_core import PCCombinerKind, PValueMatrix, _sort_columns
-from .procedures import Procedure, ProcedureKind
-from .baselines import run_procedure
+from .procedures import Procedure, ProcedureKind, run_procedure
 
 __all__ = [
     "SimScenario",

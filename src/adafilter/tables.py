@@ -41,7 +41,7 @@ __all__ = [
 _MISSING_TOKEN = "NA"
 _CHUNK_CHARS = 1 << 20  # characters of whole lines per bulk read
 # a tab, or a line break of str.splitlines, would split an id's row of the decisions
-# table; the last three are not ASCII
+# table
 _ID_BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
@@ -172,8 +172,8 @@ def _ingest_per_cell(path: str) -> PValueMatrix:
 
 
 def _holds_break(text: str) -> bool:
-    """Whether text holds a character of _ID_BREAKS; str.isascii() is O(1)."""
-    return any(c in text for c in (_ID_BREAKS[:-3] if text.isascii() else _ID_BREAKS))
+    """Whether text holds a character of _ID_BREAKS."""
+    return any(c in text for c in _ID_BREAKS)
 
 
 def _parse_cells(record: list[str], lineno: int, row: int) -> list[float]:

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import erfc
 
 import adafilter as af
-from adafilter.baselines import bh_stepup
+from adafilter.procedures import bh_stepup
 from adafilter.cli import main
 import helpers
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import adafilter as af
-from adafilter.baselines import bh_stepup
+from adafilter.procedures import bh_stepup
 from adafilter.errors import ReplicabilityLevelOutOfRange, ValidationError
 import helpers
 
@@ -71,6 +71,22 @@ class TestBhStepup:
         # alpha rejects the exact zeros with cutoff 0.0
         with pytest.raises(ValidationError):
             bh_stepup(np.array([0.0, 0.5]), alpha)
+
+    def test_list_gives_the_arrays_result(self):
+        pvalues = [0.01, 0.04, 0.035, 0.9, NAN]
+        mask, cutoff = bh_stepup(pvalues, 0.1)
+        want_mask, want_cutoff = bh_stepup(np.array(pvalues), 0.1)
+        assert mask.tolist() == want_mask.tolist() == [True, True, True, False, False]
+        assert cutoff == want_cutoff == 0.04
+
+    @pytest.mark.parametrize(
+        "pvalues",
+        # the 2-d array would reject 3 with m = 2 rows; as 4 values it rejects none
+        [np.float64(0.01), np.array(0.01), np.array([[0.02, 0.03], [0.04, 0.9]]), [[0.01]]],
+    )
+    def test_refuses_a_shape_other_than_1d(self, pvalues):
+        with pytest.raises(ValidationError, match="1-d"):
+            bh_stepup(pvalues, 0.05)
 
     def test_matches_reference_with_ties(self):
         rng = np.random.default_rng(3)

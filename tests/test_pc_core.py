@@ -81,6 +81,14 @@ class TestValidateMatrix:
         with pytest.raises(DuplicateIdentifier):
             af.validate_matrix([[0.1, 0.2]], ids=["g1", "g1"])
 
+    def test_ids_that_are_not_str_are_stringified(self):
+        mat = af.validate_matrix([[0.1, 0.2, 0.3]], ids=[1, 2, 3])
+        assert mat.ids == ("1", "2", "3")
+        # the check runs on the strings, so 1 and "1" are one id
+        with pytest.raises(DuplicateIdentifier) as exc:
+            af.validate_matrix([[0.1, 0.2]], ids=[1, "1"])
+        assert exc.value.identifier == "1"
+
     def test_result_is_defensive_copy(self):
         src = np.array([[0.1, 0.2]])
         mat = af.validate_matrix(src)
@@ -194,6 +202,11 @@ class TestPcPvalue:
             af.pc_pvalue([0.1, NAN, 0.2], 3, af.PCCombinerKind.SIMES)
         assert (exc.value.r, exc.value.n) == (3, 2)
         assert af.pc_pvalue([0.1, NAN, 0.2], 2, af.PCCombinerKind.BONFERRONI) == 0.2
+
+    def test_unknown_combiner_kind_raises(self):
+        # the combiners compare kinds by identity, so the enum's value is no kind
+        with pytest.raises(TypeError, match="unknown combiner kind 'fisher'"):
+            af.pc_pvalue([0.1, 0.2], 2, "fisher")
 
 
 def chi_square_sf(x: float, df: int) -> float:

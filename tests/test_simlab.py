@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pathlib
 import stat
+import sys
 
 import mpmath
 import numpy as np
@@ -672,3 +673,30 @@ class TestAtomicOutput:
         assert link.is_symlink()
         assert target.read_bytes() == b"new\n"
         assert os.listdir(tmp_path / "data") == ["table.tsv"]
+
+    def test_character_device_written_in_place(self, monkeypatch):
+        # a stdout without a descriptor, so the device is never taken for stdout
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        before = os.stat(os.devnull)
+        with atomic_output(os.devnull) as fh:
+            fh.write("a\n")
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode)
+        assert (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+        head, tail = os.path.split(os.devnull)
+        assert not [name for name in os.listdir(head) if name.startswith(f".{tail}.")]
+
+    def test_stdout_without_a_descriptor_is_not_the_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        out = tmp_path / "table.tsv"
+        out.write_bytes(b"previous\n")
+        inode = out.stat().st_ino
+        with atomic_output(out) as fh:
+            fh.write("new\n")
+            # the text goes to a temporary file beside the destination
+            assert out.read_bytes() == b"previous\n"
+            assert len(os.listdir(tmp_path)) == 2
+        assert out.read_bytes() == b"new\n"
+        assert out.stat().st_ino != inode
+        assert os.listdir(tmp_path) == ["table.tsv"]
+        assert sys.stdout.getvalue() == ""
