@@ -52,7 +52,7 @@ def run(args: argparse.Namespace) -> int:
 
         matrix = validate_matrix(pvalues)
         stats = compute_filter_select(matrix, args.r)
-        table = curves(stats, grid=None, alpha=args.alpha)
+        table = curves(stats, alpha=args.alpha)
         with atomic_output(args.output) as fh:
             write_curves_tsv(table, fh)
 

@@ -48,7 +48,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     """Write the estimated-V/FDP table of an input matrix over the default grid."""
     matrix = ingest_csv(args.input)
     stats = compute_filter_select(matrix, args.r)
-    table = curves(stats, grid=None, alpha=args.alpha)
+    table = curves(stats, alpha=args.alpha)
     with atomic_output(args.output) as fh:
         write_curves_tsv(table, fh)
     print(f"grid_points = {table.gamma.shape[0]}")

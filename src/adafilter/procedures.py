@@ -334,13 +334,19 @@ def _grid_value_below(hi: float, alpha_fraction: Fraction, max_den: int) -> floa
     return float(q * alpha_fraction)
 
 
+def _counted_grid(f: NDArray, s: NDArray, top: float, extra: ArrayLike = ()) -> tuple:
+    """(b, cF, cS) from ascending F and S: b is the sorted unique {0}, the F and S
+    values in (0, top] and the extra points, with #{F <= b} and #{S <= b} at each b."""
+    inner = [x[x.searchsorted(0.0, "right"):x.searchsorted(top, "right")] for x in (f, s)]
+    b = np.unique(np.concatenate([[0.0], *inner, extra]))
+    return (b, f.searchsorted(b, "right"), s.searchsorted(b, "right"))
+
+
 def _breakpoints(f: NDArray[np.float64], s: NDArray[np.float64], top: float) -> tuple:
     """(b, cF, cS, M_t, key) from ascending F and S that hold every value <= top,
-    M_t = len(F): the sorted unique {0} and F and S values up to top, with
-    #{F <= b}, #{S <= b} and the screen key (_bh_scan, _bh_adjusted) at each b."""
-    inner = [x[x.searchsorted(0.0, "right"):x.searchsorted(top, "right")] for x in (f, s)]
-    b = np.unique(np.concatenate([[0.0], *inner]))
-    c_f, c_s = f.searchsorted(b, "right"), s.searchsorted(b, "right")
+    M_t = len(F): _counted_grid's grid up to top and its counts, with the screen
+    key (_bh_scan, _bh_adjusted) at each b."""
+    b, c_f, c_s = _counted_grid(f, s, top)
     with np.errstate(divide="ignore", invalid="ignore"):
         key = b * c_f / c_s * (1.0 - 2e-15)
     key[: np.searchsorted(b, 1e-290)] = 0.0
@@ -557,34 +563,20 @@ def direct_adjust(
     return _decision(proc.kind, alpha, cutoff, pc, testable, adjusted)
 
 
-def curves(
-    stats: FilterSelectStats,
-    grid: NDArray[np.float64] | None = None,
-    alpha: float | None = None,
-) -> CurveTable:
-    """Estimated-V and estimated-FDP step curves over a threshold grid.
-
-    With grid=None the default grid is used: {0}, every F_j and S_j value
-    up to 1, and, when alpha is given, the ladder fl(k*alpha/100) for k=1..100.
-    A provided grid must be finite and nondecreasing within [0, 1]; it is
-    copied, never modified. alpha, whenever given, must lie in (0, 1].
-    """
+def curves(stats: FilterSelectStats, grid: None = None, alpha: float | None = None) -> CurveTable:
+    """Estimated-V and estimated-FDP step curves over the default threshold grid:
+    {0}, every F_j and S_j value up to 1 (the alpha = 1 breakpoint table's grid,
+    _counted_grid) and, when alpha in (0, 1] is given, the ladder fl(k*alpha/100)
+    for k = 1..100. grid is the benchmark's spelling, which passes None before
+    alpha; any other value raises, and the slot goes once ROADMAP item 1 passes
+    alpha by name."""
+    if grid is not None:
+        raise ValidationError("curves takes no custom grid: pass alpha by name")
+    ladder = ()
     if alpha is not None:
-        alpha = _check_alpha(alpha)
-    if grid is None:
-        cf_one, cs_one = stats.counts(1.0)
-        pieces = [np.array([0.0]), stats.sorted_filter[:cf_one], stats.sorted_select[:cs_one]]
-        if alpha is not None:
-            pieces.append([_grid_float(k, 100, *alpha.as_integer_ratio()) for k in range(1, 101)])
-        g = np.unique(np.concatenate(pieces))
-    else:
-        g = np.array(grid, dtype=np.float64)
-        if g.ndim != 1:
-            raise ValidationError("grid must be one-dimensional")
-        # NaN fails both comparisons, so it is rejected with the out-of-range values
-        if not (np.all((g >= 0.0) & (g <= 1.0)) and np.all(np.diff(g) >= 0)):
-            raise ValidationError("grid values must be finite and nondecreasing within [0, 1]")
-    c_f, c_s = stats.counts(g)
+        num, den = _check_alpha(alpha).as_integer_ratio()
+        ladder = [_grid_float(k, 100, num, den) for k in range(1, 101)]
+    g, c_f, c_s = _counted_grid(stats.sorted_filter, stats.sorted_select, 1.0, ladder)
     v_hat = g * c_f
     fdp_hat = v_hat / np.maximum(c_s, 1)
     return CurveTable(gamma=_read_only(g), v_hat=_read_only(v_hat), fdp_hat=_read_only(fdp_hat))

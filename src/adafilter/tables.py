@@ -301,7 +301,11 @@ def atomic_output(path: str | os.PathLike) -> Iterator:
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # the user never named the temporary file, so the error names their path
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh

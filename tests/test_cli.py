@@ -709,6 +709,26 @@ print(json.dumps([before, InlinePool.submitted]))
         assert code == 1
         assert "requires --combiner" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--input", "in.csv", "--method", "adafilter-bh", "--r", "2"],
+            ["curve", "--input", "in.csv", "--r", "2"],
+            ["simulate", "--scenario", "tiny.scenario"],
+        ],
+        ids=("test", "curve", "simulate"),
+    )
+    def test_output_in_missing_directory_names_the_given_path(self, tmp_path, capsys, argv):
+        inputs = [write(tmp_path, "in.csv", TOY_CSV), write(tmp_path, "tiny.scenario", TINY_SCENARIO)]
+        out = str(tmp_path / "missing" / "o.tsv")
+        argv = [str(tmp_path / a) if a in ("in.csv", "tiny.scenario") else a for a in argv]
+        code = main([*argv, "--output", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+        assert ".tmp" not in err
+        assert sorted(tmp_path.iterdir()) == sorted(map(pathlib.Path, inputs))
+
 
 class TestCmdSimulate:
     def simulate(self, tmp_path, out_name, extra=(), scenario_text=TINY_SCENARIO):

@@ -103,7 +103,7 @@ class TestComputeFilterSelect:
             af.adafilter_bh(stats, 0.1, compute_adjusted=True)
             helpers.adafilter_bh_oracle(stats, 0.1)
             af.curves(stats)
-            af.curves(stats, grid=np.linspace(0.0, 1.0, 11), alpha=0.1)
+            af.curves(stats, alpha=0.1)
 
         monkeypatch.setattr(np, "sort", counting)
         run_all()
@@ -809,19 +809,26 @@ class TestDecisionInvariants:
 
 
 class TestCurves:
+    def row(self, table, gamma):
+        """(v_hat, fdp_hat) at the grid point gamma of a curves table."""
+        (t,) = np.flatnonzero(table.gamma == gamma)
+        return table.v_hat[t], table.fdp_hat[t]
+
     def test_fixture_point(self):
-        table = af.curves(stats_from(TOY_REJECTING), grid=np.array([0.05]))
-        assert table.v_hat.tolist() == [0.05]
-        assert table.fdp_hat.tolist() == [0.05]
+        table = af.curves(stats_from(TOY_REJECTING), alpha=0.05)
+        assert self.row(table, 0.05) == (0.05, 0.05)
 
     def test_zero_threshold_row(self):
-        table = af.curves(stats_from(TOY_REJECTING), grid=np.array([0.0]))
-        assert table.v_hat.tolist() == [0.0]
-        assert table.fdp_hat.tolist() == [0.0]
+        table = af.curves(stats_from(TOY_REJECTING))
+        assert table.gamma[0] == 0.0
+        assert self.row(table, 0.0) == (0.0, 0.0)
 
     def test_grid_below_every_filter_value(self):
-        table = af.curves(stats_from(TOY_REJECTING), grid=np.array([0.0, 0.001, 0.02]))
-        assert np.all(table.v_hat == 0.0)
+        # 0 and the rungs 0.0005, ..., 0.0295 lie below the smallest F, 0.03
+        table = af.curves(stats_from(TOY_REJECTING), alpha=0.05)
+        below = table.gamma < 0.03
+        assert np.count_nonzero(below) == 60
+        assert np.all(table.v_hat[below] == 0.0) and np.all(table.fdp_hat[below] == 0.0)
 
     def test_default_grid_composition(self):
         stats = stats_from(TOY_REJECTING)
@@ -841,34 +848,29 @@ class TestCurves:
 
     def test_grid_validation(self):
         stats = stats_from(TOY_REJECTING)
+        # alpha is checked whenever it is given
         with pytest.raises(ValidationError):
-            af.curves(stats, grid=np.array([0.2, 0.1]))
+            af.curves(stats, alpha=5.0)
         with pytest.raises(ValidationError):
-            af.curves(stats, grid=np.array([-0.1, 0.5]))
-        with pytest.raises(ValidationError):
-            af.curves(stats, grid=np.array([[0.1]]))
-        # NaN passes every ordered comparison, so it needs its own rejection
-        with pytest.raises(ValidationError):
-            af.curves(stats, grid=np.array([0.1, np.nan]))
-        with pytest.raises(ValidationError):
-            af.curves(stats, grid=np.array([np.nan]))
-        with pytest.raises(ValidationError):
-            af.curves(stats, grid=np.array([0.1, np.inf]))
-        # alpha is checked whenever it is given, not only on the default grid
-        with pytest.raises(ValidationError):
-            af.curves(stats, grid=np.array([0.1]), alpha=5.0)
-        with pytest.raises(ValidationError):
-            af.curves(stats, grid=np.array([0.1]), alpha=float("nan"))
+            af.curves(stats, alpha=float("nan"))
+
+    def test_grid_slot_takes_only_none(self):
+        # the slot stays for callers that pass None positionally before alpha
+        stats = stats_from(TOY_REJECTING)
+        positional, named = af.curves(stats, None, 0.05), af.curves(stats, alpha=0.05)
+        for field in ("gamma", "v_hat", "fdp_hat"):
+            assert np.array_equal(getattr(positional, field), getattr(named, field))
+        for grid in (np.array([0.05]), [0.05], np.array([]), 0.05):
+            with pytest.raises(ValidationError):
+                af.curves(stats, grid)
 
     def test_estimates_are_step_constants_between_breakpoints(self):
         rng = np.random.default_rng(53)
         stats = None
         while stats is None:
             stats = helpers.random_stats(rng, max_m=20)
-        grid = np.sort(rng.uniform(0, 1, 50))
-        table = af.curves(stats, grid=grid)
-        # the table holds a read-only copy; the caller's grid stays writable
-        assert grid.flags.writeable and not table.gamma.flags.writeable
+        table = af.curves(stats, alpha=helpers.random_alpha(rng))
+        assert not table.gamma.flags.writeable
         f = np.sort(stats.filter_p[stats.testable])
         s = np.sort(stats.select_p[stats.testable])
         for g, v, fdp in zip(table.gamma, table.v_hat, table.fdp_hat):
@@ -876,6 +878,23 @@ class TestCurves:
             c_s = int(np.searchsorted(s, g, side="right"))
             assert v == g * c_f
             assert fdp == (g * c_f) / max(c_s, 1)
+
+    def test_default_grid_is_the_alpha_one_breakpoint_table(self):
+        # curves and _breakpoints share _counted_grid: without a ladder the
+        # curves table is the alpha = 1 table's b, b*cF and b*cF/max(cS, 1)
+        rng = np.random.default_rng(79)
+        cases = 0
+        while cases < 2000:
+            inst = helpers.random_matrix(rng)
+            if inst is None:
+                continue
+            cases += 1
+            stats = af.compute_filter_select(*inst)
+            table = af.curves(stats)
+            b, c_f, c_s = table_of(stats)[:3]
+            assert table.gamma.tobytes() == b.tobytes()
+            assert table.v_hat.tobytes() == (b * c_f).tobytes()
+            assert table.fdp_hat.tobytes() == (b * c_f / np.maximum(c_s, 1)).tobytes()
 
 
 class TestGridArithmetic:
