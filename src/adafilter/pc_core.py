@@ -81,9 +81,10 @@ class PValueMatrix:
         return _read_only(self.n_per_hyp >= r)
 
     def pc_pvalues(self, r: int, kind: PCCombinerKind) -> NDArray[np.float64]:
-        """PC p-value of every column at level r; NaN where n_j < r."""
+        """PC p-value of every column at level r; NaN where n_j < r. Raises as testable does."""
         key = ("pc", r, kind)
         if key not in self._memo:
+            self.testable(r)
             self._memo[key] = _read_only(
                 _pc_pvalues_from_sorted(self.sorted_values, self.n_per_hyp, r, kind)
             )
@@ -202,7 +203,6 @@ def pc_pvalue(column: object, r: int, kind: PCCombinerKind) -> float:
     The result is capped at 1. Requires 2 <= r <= n_j.
     """
     matrix = validate_matrix(np.reshape(column, (-1, 1)))
-    matrix.testable(r)
     return float(matrix.pc_pvalues(r, kind)[0])
 
 

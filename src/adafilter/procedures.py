@@ -17,10 +17,10 @@ therefore returns bit for bit what a literal enumeration of the grid returns
 (tests/helpers.py keeps that enumeration as the oracle).
 
 The direct procedures combine each testable column into one PC p-value P_j
-and correct across the M_t testable hypotheses. They are the case F_j = 0 for
-every j, with P in place of S: direct Bonferroni's alpha/M_t is the Bonferroni
-variant's gamma0, and direct BH is the BH variant's rule, BH in the form
-gamma * M_t <= alpha * #{P_j <= gamma}. run_procedure runs any Procedure.
+and correct across the M_t testable hypotheses. They run on direct stats,
+F_j = 0 for every j and S = P (_direct_stats): direct Bonferroni's alpha/M_t
+is the Bonferroni variant's gamma0, and direct BH is the BH variant's rule, BH
+in the form gamma * M_t <= alpha * #{P_j <= gamma}. run_procedure runs any Procedure.
 """
 from __future__ import annotations
 
@@ -208,16 +208,22 @@ def _testable_count(stats: FilterSelectStats) -> int:
     return m_t
 
 
+def _direct_stats(pc: NDArray[np.float64], testable: NDArray[np.bool_]) -> FilterSelectStats:
+    """Stats with every F_j = 0 and S = P; sorted_filter is preset to the zero-stride
+    F's first M_t entries, so F is never sorted or stored."""
+    stats = FilterSelectStats(np.broadcast_to(0.0, pc.shape), pc, testable)
+    vars(stats)["sorted_filter"] = stats.filter_p[: np.count_nonzero(testable)]
+    return stats
+
+
 def _decision(
-    method: ProcedureKind, alpha: float, gamma0: float, stat: NDArray, testable: NDArray,
+    method: ProcedureKind, alpha: float, gamma0: float, stats: FilterSelectStats,
     adjusted: NDArray | None = None, filtered_count: int | None = None,
 ) -> DecisionResult:
-    """Every procedure's last step: reject the testable j whose statistic is <= gamma0.
-
-    The statistic is S_j for the adaptive procedures, the PC p-value for the direct ones.
-    """
-    rejected = _read_only(testable & (stat <= gamma0))
-    untestable = _read_only(~testable)
+    """Every procedure's last step: reject the testable j with S_j <= gamma0
+    (the PC p-value P_j on direct stats)."""
+    rejected = _read_only(stats.testable & (stats.select_p <= gamma0))
+    untestable = _read_only(~stats.testable)
     if adjusted is not None:
         _read_only(adjusted)
     return DecisionResult(method, alpha, gamma0, filtered_count, rejected, untestable, adjusted)
@@ -229,22 +235,20 @@ def adafilter_bonferroni(
     """Adaptive Bonferroni: largest gamma = alpha/k with gamma * #{F <= gamma} <= alpha.
 
     Since gamma = alpha/k, feasibility is exactly #{F <= alpha/k} <= k, an
-    integer comparison with no rounding slack, and it holds exactly when the
-    (k+1)-th smallest F exceeds alpha/k (k = M_t is always feasible). The
-    count is nonincreasing in k, so the smallest feasible k gives the largest
-    feasible gamma. compute_adjusted fills adjusted with the smallest alpha
-    that rejects each hypothesis, whatever alpha is passed
-    (_bonferroni_adjusted); otherwise adjusted is None.
+    integer comparison with no rounding slack (a NaN F counts above every
+    gamma). The count is nonincreasing in k, so bisection finds the smallest
+    feasible k, k* (M_t is always feasible, and it is k* when every F_j = 0),
+    which gives the largest feasible gamma. compute_adjusted fills adjusted
+    with the smallest alpha that rejects each hypothesis, whatever alpha is
+    passed (_bonferroni_adjusted); otherwise adjusted is None.
     """
     alpha = _check_alpha(alpha)
-    m_t = _testable_count(stats)
-    gammas = alpha / np.arange(1, m_t + 1)
-    # "not <=" rather than ">": a NaN sorts above every gamma, as in searchsorted
-    feasible = np.append(~(stats.sorted_filter[1:] <= gammas[:-1]), True)
-    k_star = int(np.argmax(feasible)) + 1
-    gamma0 = float(gammas[k_star - 1])
+    f, m_t = stats.sorted_filter, _testable_count(stats)
+    k_star = 1 + bisect.bisect_left(
+        range(1, m_t), True, key=lambda k: f.searchsorted(alpha / k, "right") <= k
+    )
     return _decision(
-        ProcedureKind.ADAFILTER_BONFERRONI, alpha, gamma0, stats.select_p, stats.testable,
+        ProcedureKind.ADAFILTER_BONFERRONI, alpha, alpha / k_star, stats,
         _bonferroni_adjusted(stats) if compute_adjusted else None, filtered_count=k_star,
     )
 
@@ -282,7 +286,7 @@ def _bonferroni_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
     return out
 
 
-def _smallest_level(s: NDArray[np.float64], k: NDArray[np.int64] | int) -> NDArray[np.float64]:
+def _smallest_level(s: NDArray[np.float64], k: NDArray[np.int64]) -> NDArray[np.float64]:
     """Smallest float a with fl(a/k) >= s, elementwise, NaN where s is: the float
     above fl(s*k) qualifies, and the search steps down while the next one does too."""
     a = np.nextafter(s * k, np.inf)
@@ -418,9 +422,7 @@ def adafilter_bh(
     alpha = _check_alpha(alpha)
     gamma0 = _bh_threshold(stats, alpha)
     adjusted = _bh_adjusted(stats) if compute_adjusted else None
-    return _decision(
-        ProcedureKind.ADAFILTER_BH, alpha, gamma0, stats.select_p, stats.testable, adjusted
-    )
+    return _decision(ProcedureKind.ADAFILTER_BH, alpha, gamma0, stats, adjusted)
 
 
 def _bh_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
@@ -491,18 +493,18 @@ def bh_stepup(pvalues: ArrayLike, alpha: float) -> tuple[NDArray[np.bool_], floa
     pvalues = np.asarray(pvalues, dtype=np.float64)
     if pvalues.ndim != 1:
         raise ValidationError(f"bh_stepup takes a 1-d array of p-values, got {pvalues.ndim}-d")
-    cutoff = _bh_cutoff(pvalues, _check_alpha(alpha), len(pvalues))
+    cutoff = _bh_cutoff(_direct_stats(pvalues, np.ones(pvalues.shape, bool)), _check_alpha(alpha))
     return pvalues <= cutoff, cutoff
 
 
-def _bh_cutoff(pvalues: NDArray[np.float64], alpha: float, m: int) -> float:
-    """BH step-up cutoff among m p-values: P_(k*) for the largest k* with
-    P_(k*) <= fl(k*alpha/m), else 0.0 (a P = 0 is always rejected, so 0.0 rejects
-    none). It is _bh_threshold's body with every F_j = 0, a zero-stride view of 0.0,
-    on a table of the P <= alpha only; kept apart so that the traced _bh_threshold
-    calls stay adaptive BH's. NaN fails P <= alpha: never rejected, though m may count it."""
-    head = np.sort(pvalues[pvalues <= alpha])
-    gamma = _bh_scan(_breakpoints(np.broadcast_to(0.0, m), head, alpha), alpha)
+def _bh_cutoff(stats: FilterSelectStats, alpha: float) -> float:
+    """BH step-up cutoff on direct stats: P_(k*) for the largest k* with
+    P_(k*) <= fl(k*alpha/M_t), else 0.0 (a P = 0 is always rejected, so 0.0 rejects
+    none). It is _bh_threshold's body on a table of its own sorted head, the P <= alpha,
+    kept apart so that the traced _bh_threshold calls stay adaptive BH's. A NaN P
+    fails P <= alpha: never rejected, though M_t may count it (bh_stepup)."""
+    head = np.sort(stats.select_p[stats.select_p <= alpha])
+    gamma = _bh_scan(_breakpoints(stats.sorted_filter, head, alpha), alpha)
     k = int(np.searchsorted(head, gamma, "right"))
     return float(head[k - 1]) if k else 0.0
 
@@ -513,54 +515,51 @@ def direct_adjust(
     """Run one direct procedure on a p-value matrix at replicability level r.
 
     PC p-values are computed per testable column (n_j >= r) with proc's
-    combiner (an adaptive proc, which has none, raises ValidationError);
-    untestable columns are excluded from the correction and never rejected.
-    gamma0 reports the PC p-value cutoff in use. With compute_adjusted (the
-    default, which the benchmark's decision check reads), adjusted holds the
-    smallest rejecting alpha for Bonferroni (1 if none up to 1, 0 where P = 0),
-    the step-up adjustment for BH, NaN where untestable. BH's values cost one
-    value sort plus an argsort of only the P below the ladder's top plateau, a
-    few percent of M_t under sparse signal. Without compute_adjusted, adjusted is
-    None and the decision costs one pass plus, for BH, a table of the P <= alpha.
+    combiner (an adaptive proc, which has none, raises ValidationError), and
+    the rule runs on their direct stats (_direct_stats); untestable columns
+    are excluded from the correction and never rejected. gamma0 reports the
+    PC p-value cutoff in use. With compute_adjusted (the default, which the
+    benchmark's decision check reads), adjusted holds _bonferroni_adjusted's
+    values for Bonferroni, the step-up adjustment for BH, NaN where untestable.
+    BH's values cost one value sort plus an argsort of only the P below the
+    ladder's top plateau, a few percent of M_t under sparse signal. Without
+    compute_adjusted, adjusted is None and the decision costs one pass plus,
+    for BH, a table of the P <= alpha.
     """
     if proc.combiner is None:
         raise ValidationError(f"direct_adjust runs a direct procedure, not {proc.kind.value}")
-    testable = matrix.testable(r)
     alpha = float(proc.alpha)
-
     # untestable columns have NaN PC p-values, which stay NaN when adjusted
-    pc = matrix.pc_pvalues(r, proc.combiner)
-    # r <= max n_j, so at least one column is testable
-    m_t = int(np.count_nonzero(testable))
-    adjusted = None
+    pc, testable = matrix.pc_pvalues(r, proc.combiner), matrix.testable(r)
+    stats = _direct_stats(pc, testable)
     if proc.kind is ProcedureKind.DIRECT_BONFERRONI:
-        cutoff = alpha / m_t
-        if compute_adjusted:
-            adjusted = np.minimum(_smallest_level(pc, m_t), 1.0)
-    else:
-        cutoff = _bh_cutoff(pc, alpha, m_t)
-        if compute_adjusted:
-            # the testable PC p-values sorted, the untestable last as +inf; the
-            # buffer then holds the adjusted values, so no second one is allocated
-            adjusted = np.where(testable, pc, np.inf)
-            adjusted.sort()
-            # one buffer: m/i, then m*P_(i)/i, then its running minimum from the
-            # top, which never exceeds its top rung P_(m) <= 1, so needs no cap
-            ladder = np.arange(1, m_t + 1, dtype=np.float64)
-            np.divide(m_t, ladder, out=ladder)
-            np.multiply(adjusted[:m_t], ladder, out=ladder)
-            np.minimum.accumulate(ladder[::-1], out=ladder[::-1])
-            # within a block of ties the running minimum is its value at the
-            # block's last position, so the ladder's top plateau [k0, m_t) starts
-            # a block: every P > P_(k0) takes its value, and only the few below
-            # are ordered, in any tie order (NaN fails both comparisons)
-            k0 = int(np.searchsorted(ladder, ladder[-1]))
-            below = adjusted[k0 - 1] if k0 else -np.inf
-            adjusted.fill(np.nan)
-            adjusted[pc > below] = ladder[-1]
-            low = np.flatnonzero(pc <= below)
-            adjusted[low[np.argsort(pc[low])]] = ladder[:k0]
-    return _decision(proc.kind, alpha, cutoff, pc, testable, adjusted)
+        # adafilter_bonferroni's k* is M_t when every F_j = 0
+        adjusted = _bonferroni_adjusted(stats) if compute_adjusted else None
+        return _decision(proc.kind, alpha, alpha / _testable_count(stats), stats, adjusted)
+    adjusted = None
+    if compute_adjusted:
+        m_t = stats.sorted_filter.size
+        # the testable PC p-values sorted, the untestable last as +inf; the
+        # buffer then holds the adjusted values, so no second one is allocated
+        adjusted = np.where(testable, pc, np.inf)
+        adjusted.sort()
+        # one buffer: m/i, then m*P_(i)/i, then its running minimum from the
+        # top, which never exceeds its top rung P_(m) <= 1, so needs no cap
+        ladder = np.arange(1, m_t + 1, dtype=np.float64)
+        np.divide(m_t, ladder, out=ladder)
+        np.multiply(adjusted[:m_t], ladder, out=ladder)
+        np.minimum.accumulate(ladder[::-1], out=ladder[::-1])
+        # within a block of ties the running minimum is its value at the
+        # block's last position, so the ladder's top plateau [k0, m_t) starts
+        # a block: every P > P_(k0) takes its value, and only the few below
+        # are ordered, in any tie order (NaN fails both comparisons)
+        k0 = int(np.searchsorted(ladder, ladder[-1]))
+        below = adjusted[k0 - 1] if k0 else -np.inf
+        adjusted.fill(np.nan)
+        adjusted[pc > below] = ladder[-1]
+        low = np.flatnonzero(pc <= below)
+        adjusted[low[np.argsort(pc[low])]] = ladder[:k0]
+    return _decision(proc.kind, alpha, _bh_cutoff(stats, alpha), stats, adjusted)
 
 
 def curves(stats: FilterSelectStats, grid: None = None, alpha: float | None = None) -> CurveTable:

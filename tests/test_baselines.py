@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import adafilter as af
-from adafilter.procedures import bh_stepup
+from adafilter.procedures import _direct_stats, bh_stepup
 from adafilter.errors import ReplicabilityLevelOutOfRange, ValidationError
 import helpers
 
@@ -331,6 +331,46 @@ class TestDirectAdjust:
                 assert res.gamma0 == (below.max() if below.size else 0.0)
                 rejected += res.n_rejected
         assert rejected > 500
+
+    def test_bonferroni_is_adaptive_bonferroni_on_direct_stats(self):
+        # with every F_j = 0, adaptive Bonferroni's k* is M_t: direct Bonferroni
+        # reports its gamma0, its rejected set and its adjusted values bit for bit
+        rng = np.random.default_rng(61)
+        done = 0
+        while done < 300:
+            inst = helpers.random_matrix(rng, max_m=40, max_n=6)
+            if inst is None:
+                continue
+            mat, r = inst
+            done += 1
+            alpha = helpers.random_alpha(rng)
+            for combiner in af.PCCombinerKind:
+                res = af.direct_adjust(mat, r, direct(combiner.value, "bonferroni", alpha))
+                stats = _direct_stats(mat.pc_pvalues(r, combiner), mat.testable(r))
+                adaptive = af.adafilter_bonferroni(stats, alpha, compute_adjusted=True)
+                assert adaptive.filtered_count == stats.n_testable
+                assert res.gamma0 == adaptive.gamma0
+                assert res.rejected.tolist() == adaptive.rejected.tolist()
+                assert res.adjusted.tobytes() == adaptive.adjusted.tobytes()
+
+    def test_direct_stats_sort_no_filter_values(self):
+        # F is a zero-stride view of 0.0, and sorted_filter one of length M_t;
+        # sorted_select is the complete sort of the testable P
+        rng = np.random.default_rng(67)
+        done = 0
+        while done < 50:
+            inst = helpers.random_matrix(rng, max_m=40, max_n=6)
+            if inst is None:
+                continue
+            mat, r = inst
+            done += 1
+            pc, testable = mat.pc_pvalues(r, af.PCCombinerKind.SIMES), mat.testable(r)
+            stats = _direct_stats(pc, testable)
+            assert stats.filter_p.strides == stats.sorted_filter.strides == (0,)
+            assert stats.sorted_filter.shape == (np.count_nonzero(testable),)
+            assert not stats.sorted_filter.any()
+            assert stats.select_p is pc
+            np.testing.assert_array_equal(stats.sorted_select, np.sort(pc[testable]))
 
     def test_adjusted_values_change_no_decision(self):
         # adjusted values are built only on request; the BH decision reads the

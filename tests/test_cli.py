@@ -279,7 +279,9 @@ class TestCmdTest:
 
     def test_filter_select_computed_once(self, tmp_path, monkeypatch):
         # cmd_test and run_procedure both ask for the statistics; the memo on
-        # the matrix means they are built once per run, whatever the method
+        # the matrix means compute_filter_select builds them once per run,
+        # whatever the method, and a direct run builds its direct stats (every
+        # F_j = 0, a zero-stride view) once beside them
         real = af.procedures.FilterSelectStats
         built = []
 
@@ -296,7 +298,9 @@ class TestCmdTest:
         ):
             built.clear()
             self.run(tmp_path, TOY_CSV, method=method, combiner=combiner, r=2)
-            assert len(built) == 1, method
+            direct = [stats for stats in built if stats.filter_p.strides == (0,)]
+            assert len(built) - len(direct) == 1, method
+            assert len(direct) == (combiner is not None), method
 
     def test_combiner_flag_pairing(self, tmp_path):
         out = str(tmp_path / "o.tsv")

@@ -126,6 +126,16 @@ class TestMemoisedOrderStatistics:
         for arr in (mat.n_per_hyp, mat.sorted_values, mat.pc_pvalues(2, af.PCCombinerKind.FISHER)):
             assert not arr.flags.writeable
 
+    def test_pc_pvalues_refuse_a_level_out_of_range(self):
+        # r = 0 would read row -1 and r = max n_j + 1 past the last row; no
+        # value is memoised for any of them
+        mat = af.validate_matrix([[0.1, 0.3], [0.2, 0.5]])
+        for kind in COMBINERS:
+            for r in (0, 1, 3):
+                with pytest.raises(ReplicabilityLevelOutOfRange):
+                    mat.pc_pvalues(r, kind)
+        assert mat._memo == {}
+
 
 class TestSortColumn:
     def test_drops_missing_and_sorts(self):
@@ -479,6 +489,15 @@ class TestMemoryBound:
                 af.run_procedure(mat, 4, proc)
                 peak = self.arrays(af.run_procedure, mat, 4, proc)
                 assert peak <= 0.75, (kind, alpha, peak)
+
+    def test_adaptive_bonferroni_decision_holds_under_half_an_array(self, values):
+        # after a warm-up call, the result's masks and one comparison: k* is
+        # bisected on the sorted F, and an array of the alpha/k held 2.04
+        stats = af.compute_filter_select(validate_matrix(values), 4)
+        for alpha in (0.05, 0.5):
+            af.adafilter_bonferroni(stats, alpha)
+            peak = self.arrays(af.adafilter_bonferroni, stats, alpha)
+            assert peak <= 0.5, (alpha, peak)
 
     def test_validation_holds_little_beside_its_copy(self, values):
         # the copy it keeps is 8 arrays

@@ -198,6 +198,35 @@ class TestAdaptiveBonferroni:
         res = af.adafilter_bonferroni(stats, 0.05)
         assert (res.filtered_count, res.gamma0) == (1, 0.05)
 
+    @pytest.mark.parametrize("m_t", [1, 2, 9, 1000, 100_000])
+    def test_bisection_matches_the_two_step_form(self, m_t):
+        # k* is M_t when every F = 0 and 1 when every F > alpha; with a tenth
+        # of the F near 0 it lands inside the range
+        rng = np.random.default_rng(m_t)
+        spread = np.where(rng.random(m_t) < 0.1, rng.random(m_t) * 1e-7, rng.random(m_t))
+        cases = ((np.zeros(m_t), m_t), (0.25 + 0.75 * rng.random(m_t), 1), (spread, None))
+        for f, k_star in cases:
+            stats = af.FilterSelectStats(f, rng.random(m_t), np.ones(m_t, bool))
+            for alpha in (0.05, 0.2, helpers.random_alpha(rng) * 0.25):
+                res = af.adafilter_bonferroni(stats, alpha)
+                want = helpers.adafilter_bonferroni_twostep(stats, alpha)
+                assert helpers.results_equal(res, want)
+                assert k_star in (None, res.filtered_count)
+
+    def test_bisection_counts_nan_filter_values_above_every_gamma(self):
+        # the smallest k with #{F <= alpha/k} <= k, counted literally: a NaN F
+        # is never <= gamma
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            m_t = int(rng.integers(1, 40))
+            f = rng.random(m_t) * 10.0 ** rng.uniform(-3.0, 0.0)
+            f[rng.random(m_t) < 0.3] = NAN
+            stats = af.FilterSelectStats(f, rng.random(m_t), np.ones(m_t, bool))
+            alpha = helpers.random_alpha(rng)
+            want = next(k for k in range(1, m_t + 1) if np.count_nonzero(f <= alpha / k) <= k)
+            res = af.adafilter_bonferroni(stats, alpha)
+            assert (res.filtered_count, res.gamma0) == (want, alpha / want), (f, alpha)
+
     def test_adjusted_matches_brute_force_oracle(self):
         rng = np.random.default_rng(19)
         done = 0
