@@ -74,11 +74,14 @@ class PValueMatrix:
         return _read_only(_column_sorted(self.values))
 
     def testable(self, r: int) -> NDArray[np.bool_]:
-        """Columns with n_j >= r; raises unless 2 <= r <= max n_j."""
-        n_max = int(self.n_per_hyp.max())
-        if r < 2 or r > n_max:
-            raise ReplicabilityLevelOutOfRange(r, n_max)
-        return _read_only(self.n_per_hyp >= r)
+        """Columns with n_j >= r, memoised per r; raises unless 2 <= r <= max n_j."""
+        key = ("testable", r)
+        if key not in self._memo:
+            n_max = int(self.n_per_hyp.max())
+            if r < 2 or r > n_max:
+                raise ReplicabilityLevelOutOfRange(r, n_max)
+            self._memo[key] = _read_only(self.n_per_hyp >= r)
+        return self._memo[key]
 
     def pc_pvalues(self, r: int, kind: PCCombinerKind) -> NDArray[np.float64]:
         """PC p-value of every column at level r; NaN where n_j < r. Raises as testable does."""
@@ -207,7 +210,9 @@ def pc_pvalue(column: object, r: int, kind: PCCombinerKind) -> float:
 
 
 # columns sorted at a time, so that every row of a block stays in cache: at
-# 1e6 x 8 the network took 58 ms in blocks against 121 ms over whole rows
+# 1e6 x 8 the network took 58 ms in blocks against 121 ms over whole rows;
+# Fisher gathers its tails from k = 8 in blocks of as many columns, since a
+# whole (M, k) tail is k arrays of length M
 _NETWORK_BLOCK = 16384
 
 
@@ -275,8 +280,11 @@ def _pc_pvalues_from_sorted(
 
     Columns with n_j < r get NaN, as their row r-1 is. Bonferroni and Simes
     read whole rows, each column scaled by its own k = n_j - r + 1; a row past
-    n_j is NaN, which np.fmin skips. Only Fisher, whose pairwise log sum
-    (_log_sum) and degrees of freedom depend on k, groups columns by n_j.
+    n_j is NaN, which np.fmin skips. Fisher adds the logs of whole rows too:
+    np.sum adds fewer than 8 terms in sequence, and a missing entry, mapped
+    to 1, adds log 1 = +0.0, which leaves any sum of logs as it is. Columns
+    with k >= 8 take np.sum's own pairwise order over their gathered tails.
+    The chi-square tail, whose degrees of freedom are 2k, runs per n_j group.
     """
     if kind is PCCombinerKind.BONFERRONI or kind is PCCombinerKind.SIMES:
         k = np.subtract(n_per_hyp, r - 1, dtype=np.float64)
@@ -290,47 +298,31 @@ def _pc_pvalues_from_sorted(
     if kind is not PCCombinerKind.FISHER:
         raise TypeError(f"unknown combiner kind {kind!r}")
     counts = np.bincount(n_per_hyp)
-    out = np.full(sorted_values.shape[1], np.nan)
+    n_min = int(np.flatnonzero(counts)[0])
+    with np.errstate(divide="ignore"):
+        out = np.log(sorted_values[r - 1])
+        buf = np.empty_like(out)
+        # only rows past the smallest n_j hold NaN, and only those pay the np.fmin
+        for i in range(r, min(r + 6, sorted_values.shape[0])):
+            if i >= n_min:
+                np.fmin(sorted_values[i], 1.0, out=buf)
+            out += np.log(sorted_values[i] if i < n_min else buf, out=buf)
+        # each del frees an array before the next gather or the chi-square
+        # kernel's four buffers, which would otherwise be held beside it
+        del buf
+        for n_j in np.flatnonzero(counts[r + 7 :]) + r + 7:
+            cols = np.flatnonzero(n_per_hyp == n_j)
+            for start in range(0, cols.size, _NETWORK_BLOCK):
+                block = cols[start : start + _NETWORK_BLOCK]
+                tail = sorted_values[r - 1 : n_j].T[block]
+                out[block] = np.log(tail, out=tail).sum(axis=1)
+                del block, tail
+            del cols
     for n_j in np.flatnonzero(counts[r:]) + r:
-        rows, k = sorted_values[r - 1 : n_j], int(n_j) - r + 1
-        cols = None if counts[n_j] == out.size else np.flatnonzero(n_per_hyp == n_j)
-        vals = out if cols is None else np.empty(cols.size)
-        with np.errstate(divide="ignore"):
-            stat = np.multiply(_log_sum(rows, cols, vals), -2.0, out=vals)
-        vals[:] = _chi_square_sf_even(stat, 2 * k)
-        if cols is not None:
-            out[cols] = vals
+        df = 2 * (int(n_j) - r + 1)
+        if counts[n_j] == out.size:
+            out[:] = _chi_square_sf_even(np.multiply(out, -2.0, out=out), df)
+        else:
+            cols = np.flatnonzero(n_per_hyp == n_j)
+            out[cols] = _chi_square_sf_even(np.multiply(out[cols], -2.0), df)
     return out
-
-
-def _tail_row(rows, cols, i: int, buf: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Row i of a group's tail: a view of rows[i], or its cols gathered into buf."""
-    # mode="clip" (no index is out of range) lets np.take write straight into buf
-    return rows[i] if cols is None else np.take(rows[i], cols, out=buf, mode="clip")
-
-
-def _log_sum(rows, cols, total: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Sum over the tail rows of np.log of each, written into total, in the
-    order of numpy's pairwise sum along a contiguous axis (Higham 1993): below
-    8 terms in sequence; up to 128 in 8 interleaved partial sums, combined as
-    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), then the rest in
-    sequence; above 128 the two halves, split at a multiple of 8, each so.
-    """
-    n = rows.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _log_sum(rows[:half], cols, total)
-        total += _log_sum(rows[half:], cols, np.empty_like(total))
-        return total
-    lanes = [total] + [np.empty_like(total) for _ in range(7 if n >= 8 else 0)]
-    for i, lane in enumerate(lanes):
-        np.log(_tail_row(rows, cols, i, lane), out=lane)
-    scratch = np.empty_like(total)
-    stop = n - n % len(lanes)
-    for i in range(len(lanes), stop):
-        lanes[i % len(lanes)] += np.log(_tail_row(rows, cols, i, scratch), out=scratch)
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)) if n >= 8 else ():
-        lanes[a] += lanes[b]
-    for i in range(stop, n):
-        total += np.log(_tail_row(rows, cols, i, scratch), out=scratch)
-    return total

@@ -183,7 +183,7 @@ def compute_filter_select(matrix: PValueMatrix, r: int) -> FilterSelectStats:
     if key not in matrix._memo:
         testable = matrix.testable(r)
         sv = matrix.sorted_values
-        k = (matrix.n_per_hyp - r + 1).astype(np.float64)
+        k = np.subtract(matrix.n_per_hyp, r - 1, dtype=np.float64)
         # sorted columns put NaN last, so row r-1 is NaN exactly where n_j < r;
         # row r-2 still holds a value where n_j = r-1, so filter_p needs the mask
         filter_p = k * sv[r - 2, :]
@@ -267,17 +267,17 @@ def _bonferroni_adjusted(stats: FilterSelectStats) -> NDArray[np.float64]:
     value below 1 and only the prefix is counted.
     """
     out = np.where(stats.testable, 1.0, np.nan)
-    s = stats.sorted_select
+    f, s = stats.sorted_filter, stats.sorted_select
     n = bisect.bisect_left(
-        range(s.size), True, key=lambda i: s[i] > 1.0 / max(int(stats.counts(s[i])[0]), 1)
+        range(s.size), True, key=lambda i: s[i] > 1.0 / max(int(f.searchsorted(s[i], "right")), 1)
     )
     if n == 0:
         return out
     s = s[:n]
-    k = np.maximum(stats.counts(s)[0], 1)
+    k = np.maximum(f.searchsorted(s, "right"), 1)
     while True:
         level = _smallest_level(s, k)
-        retry = (level <= 1.0) & (stats.counts(level / k)[0] > k)
+        retry = (level <= 1.0) & (f.searchsorted(level / k, "right") > k)
         if not retry.any():
             break
         k = k + retry

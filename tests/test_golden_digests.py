@@ -39,7 +39,7 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
     """Case name -> (input name, CLI arguments without --input/--scenario/--output)."""
     cases = {}
     # n = 40 sorts columns of more than 32 rows, and Fisher at r = 2 adds up to
-    # 39 logs, which takes the 8-lane pairwise sum
+    # 39 logs, which np.sum adds pairwise over each gathered tail
     for source, tag, r_values, alphas in (
         ("golden", "", (2, 5, 12), ("0.05", "1")),
         ("golden40", " n=40", (2, 20, 40), ("0.05",)),

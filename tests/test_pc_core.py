@@ -128,13 +128,21 @@ class TestMemoisedOrderStatistics:
 
     def test_pc_pvalues_refuse_a_level_out_of_range(self):
         # r = 0 would read row -1 and r = max n_j + 1 past the last row; no
-        # value is memoised for any of them
+        # value is memoised for any of them, nor a testable mask
         mat = af.validate_matrix([[0.1, 0.3], [0.2, 0.5]])
-        for kind in COMBINERS:
-            for r in (0, 1, 3):
+        for r in (0, 1, 3):
+            for kind in COMBINERS:
                 with pytest.raises(ReplicabilityLevelOutOfRange):
                     mat.pc_pvalues(r, kind)
+            with pytest.raises(ReplicabilityLevelOutOfRange):
+                mat.testable(r)
         assert mat._memo == {}
+        # a valid r memoises its mask: a repeat call returns the same read-only array
+        testable = mat.testable(2)
+        assert mat.testable(2) is testable
+        assert testable.tolist() == [True, True]
+        assert not testable.flags.writeable
+        assert list(mat._memo) == [("testable", 2)]
 
 
 class TestSortColumn:
@@ -387,20 +395,23 @@ class TestCombinerProperties:
                         assert got[j] == want
 
     def test_row_slices_match_gathered_tails(self):
-        # equal n_j reads row views and mixed n_j gathers each row, and Fisher
-        # adds its logs row by row in np.sum's pairwise order (8 partial sums
-        # from k = 8, two halves above k = 128); all must equal the bits of
-        # the Fortran-ordered gather, whose np.sum adds each column pairwise
+        # every combiner reads whole rows; Fisher adds its logs row by row below
+        # k = 8, where a missing entry adds log 1 = +0.0 as an exact 1.0 does,
+        # and from k = 8 sums its gathered tails in blocks of columns (20,000
+        # columns of one n_j take two); all must equal the bits of the
+        # Fortran-ordered gather, whose np.sum adds each column pairwise
         import helpers
 
         rng = np.random.default_rng(13)
-        for n in (2, 3, 8, 9, 15, 21, 140):
+        sizes = [(n, 300) for n in (2, 3, 8, 9, 15, 21, 140)] + [(10, 20_000)]
+        for n, m in sizes:
             for mixed in (False, True):
-                values = rng.random((n, 300)) ** 3
-                values[rng.random((n, 300)) < 0.05] = 0.0
+                values = rng.random((n, m)) ** 3
+                values[rng.random((n, m)) < 0.05] = 0.0
+                values[rng.random((n, m)) < 0.05] = 1.0
                 if mixed:
-                    values[rng.random((n, 300)) < 0.3] = NAN
-                    values[0] = rng.random(300)
+                    values[rng.random((n, m)) < 0.3] = NAN
+                    values[0] = rng.random(m)
                 mat = af.validate_matrix(values)
                 for r in range(2, n + 1) if n < 100 else (2, 12, 13, n):
                     for kind in COMBINERS:
